@@ -108,7 +108,7 @@ void BM_PeaksScalar(benchmark::State& state) {
 void BM_PeaksVector(benchmark::State& state) {
   const auto fanin = static_cast<std::size_t>(state.range(0));
   const Row row = make_row(fanin, 42);
-  // Same tracked slabs FlatKernelBuffers uses in production, so this record
+  // Same tracked slabs KernelBuffers uses in production, so this record
   // carries a nonzero kernel_buffers peak for bench_history's memory gate.
   noise::KbVec<double> p(fanin), w(fanin), d(fanin);
   for (auto _ : state) {
@@ -299,7 +299,6 @@ int main(int argc, char** argv) {
     meta.model = "two-pi";
     meta.options_digest = "-";
     meta.build = obs::build_version();
-    meta.simd = "vector";
     obs::MetricsSnapshot snap;
     const auto gauge = [&](const char* name, const char* help, double ms) {
       obs::MetricSample s;

@@ -118,46 +118,47 @@ class LineReader {
   int lineno_ = 0;
 };
 
+/// Read `; <count numbers>` at toks[i], advancing i past them. The count
+/// comes from the file, so it is checked against the tokens left on the
+/// line before anything is reserved.
+std::vector<double> take_group(LineReader& lr, std::span<const std::string_view> toks,
+                               std::size_t& i, std::size_t count, const char* table) {
+  if (i >= toks.size() || toks[i] != ";") lr.fail(std::string("expected ';' in ") + table);
+  ++i;
+  if (count > toks.size() - i) {
+    lr.fail(std::string(table) + ": count " + std::to_string(count) +
+            " exceeds the " + std::to_string(toks.size() - i) + " numbers left on the line");
+  }
+  std::vector<double> out;
+  out.reserve(count);
+  for (std::size_t k = 0; k < count; ++k) out.push_back(nw::parse_double(toks[i++]));
+  return out;
+}
+
 /// Parse `t1 <n> ; axis ; values` starting at toks[start].
 Table1D parse_t1(LineReader& lr, std::span<const std::string_view> toks, std::size_t start) {
   if (start >= toks.size() || toks[start] != "t1") lr.fail("expected t1 table");
+  if (start + 1 >= toks.size()) lr.fail("t1: missing size");
   const std::size_t n = nw::parse_uint(toks[start + 1]);
   std::size_t i = start + 2;
-  auto take_group = [&](std::size_t count) {
-    if (i >= toks.size() || toks[i] != ";") lr.fail("expected ';' in t1");
-    ++i;
-    std::vector<double> out;
-    out.reserve(count);
-    for (std::size_t k = 0; k < count; ++k) {
-      if (i >= toks.size()) lr.fail("t1: not enough numbers");
-      out.push_back(nw::parse_double(toks[i++]));
-    }
-    return out;
-  };
-  auto axis = take_group(n);
-  auto vals = take_group(n);
+  auto axis = take_group(lr, toks, i, n, "t1");
+  auto vals = take_group(lr, toks, i, n, "t1");
   return Table1D(std::move(axis), std::move(vals));
 }
 
+/// Parse `t2 <nx> <ny> ; xs ; ys ; values` starting at toks[start].
 Table2D parse_t2(LineReader& lr, std::span<const std::string_view> toks, std::size_t start) {
   if (start >= toks.size() || toks[start] != "t2") lr.fail("expected t2 table");
+  if (start + 2 >= toks.size()) lr.fail("t2: missing sizes");
   const std::size_t nx = nw::parse_uint(toks[start + 1]);
   const std::size_t ny = nw::parse_uint(toks[start + 2]);
+  if (ny != 0 && nx > std::numeric_limits<std::size_t>::max() / ny) {
+    lr.fail("t2: size " + std::to_string(nx) + " x " + std::to_string(ny) + " overflows");
+  }
   std::size_t i = start + 3;
-  auto take_group = [&](std::size_t count) {
-    if (i >= toks.size() || toks[i] != ";") lr.fail("expected ';' in t2");
-    ++i;
-    std::vector<double> out;
-    out.reserve(count);
-    for (std::size_t k = 0; k < count; ++k) {
-      if (i >= toks.size()) lr.fail("t2: not enough numbers");
-      out.push_back(nw::parse_double(toks[i++]));
-    }
-    return out;
-  };
-  auto xs = take_group(nx);
-  auto ys = take_group(ny);
-  auto vals = take_group(nx * ny);
+  auto xs = take_group(lr, toks, i, nx, "t2");
+  auto ys = take_group(lr, toks, i, ny, "t2");
+  auto vals = take_group(lr, toks, i, nx * ny, "t2");
   return Table2D(std::move(xs), std::move(ys), std::move(vals));
 }
 
@@ -232,6 +233,10 @@ Library read_library(std::istream& is) {
       TimingArc arc;
       arc.from_pin = nw::parse_uint(toks[1]);
       arc.to_pin = nw::parse_uint(toks[2]);
+      if (arc.from_pin >= cur.pins.size() || arc.to_pin >= cur.pins.size()) {
+        lr.fail("arc pin index out of range (cell '" + cur.name + "' has " +
+                std::to_string(cur.pins.size()) + " pins so far)");
+      }
       arc.sense = parse_sense(toks[3]);
       auto t = lr.next();
       if (t.empty() || t[0] != "delay_rise") lr.fail("expected delay_rise");

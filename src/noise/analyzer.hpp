@@ -60,21 +60,6 @@ enum class AnalysisMode { kNoFiltering, kSwitchingWindows, kNoiseWindows };
 
 [[nodiscard]] const char* to_string(AnalysisMode m) noexcept;
 
-/// Kernel-path selection for the analysis hot loops. kScalar runs the
-/// per-net reference code; kVector runs the flat structure-of-arrays
-/// kernels over KernelBuffers (noise/kernels.hpp). Both paths share one
-/// compiled implementation of every floating-point expression, so the
-/// Result is bit-identical for either value — like Options::threads, the
-/// choice is an execution detail and is excluded from options_digest().
-enum class SimdMode { kAuto, kScalar, kVector };
-
-[[nodiscard]] const char* to_string(SimdMode m) noexcept;
-
-/// kAuto resolves to kVector: the flat kernels are portable C++ (the
-/// compiler vectorizes them where -DNW_SIMD / -march allow) and win on
-/// cache locality and allocation pressure even without SIMD units.
-[[nodiscard]] SimdMode resolve_simd(SimdMode m) noexcept;
-
 struct Options {
   AnalysisMode mode = AnalysisMode::kNoiseWindows;
   GlitchModel model = GlitchModel::kTwoPi;
@@ -91,9 +76,6 @@ struct Options {
   /// value — stages write to pre-sized per-index slots and reduce in index
   /// order (see DESIGN.md "Execution model").
   int threads = 1;
-  /// Hot-loop kernel path: scalar per-net reference code or flat SoA
-  /// kernels (see SimdMode). Results are bit-identical either way.
-  SimdMode simd = SimdMode::kAuto;
   spice::TranOptions mna_tran{2e-9, 0.5e-12};  ///< kMnaExact settings
   /// Functional filtering: mutual-exclusion groups of aggressor nets.
   /// Applies in every mode (it is orthogonal to temporal filtering).

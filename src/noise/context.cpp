@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
+#include <utility>
 
 #include "noise/analyzer.hpp"
 
@@ -19,39 +19,48 @@ AnalysisContext AnalysisContext::build(const net::Design& design,
   ctx.vdd = design.library().vdd();
   const std::size_t n = design.net_count();
 
-  // Coupling-graph adjacency: per victim, coupling caps grouped by
-  // aggressor and pre-filtered against the threshold. Rows live in the
-  // context arena; each row reserves its exact surviving-edge count first,
-  // so the bump allocator never strands a reallocation ghost.
-  ctx.arena = std::make_shared<obs::Arena>(obs::MemAccountId::kAnalysisContext);
-  ctx.aggressors.reserve(n);
-  for (std::size_t vi = 0; vi < n; ++vi) {
+  // Coupling-graph adjacency, built straight into CSR rows: per victim,
+  // the coupling caps are stable-sorted by aggressor and summed run by run
+  // (the per-aggressor summation follows coupling storage order), then
+  // pre-filtered against the threshold. Two passes — count, then fill —
+  // so the slabs are allocated once at their exact size.
+  std::vector<std::pair<NetId::value_type, double>> row;
+  const auto for_each_kept = [&](std::size_t vi, auto&& keep) {
     const NetId victim{vi};
-    std::unordered_map<NetId::value_type, double> agg_cap;
+    row.clear();
     for (const auto ci : para.couplings_of(victim)) {
       const auto& cc = para.coupling(ci);
-      agg_cap[cc.other_net(victim).value()] += cc.c;
+      row.emplace_back(cc.other_net(victim).value(), cc.c);
     }
-    std::size_t kept = 0;
-    for (const auto& [agg_value, c_total] : agg_cap) {
-      if (c_total >= opt.min_coupling_cap) ++kept;
-    }
-    ctx.aggressors.emplace_back(
-        obs::ArenaAllocator<AggressorEdge, obs::MemAccountId::kAnalysisContext>(
-            ctx.arena.get()));
-    AggRow& edges = ctx.aggressors.back();
-    edges.reserve(kept);
-    for (const auto& [agg_value, c_total] : agg_cap) {
+    std::stable_sort(row.begin(), row.end(),
+                     [](const auto& a, const auto& b) { return a.first < b.first; });
+    std::size_t filtered = 0;
+    for (std::size_t k = 0; k < row.size();) {
+      const NetId::value_type agg = row[k].first;
+      double c_total = 0.0;
+      for (; k < row.size() && row[k].first == agg; ++k) c_total += row[k].second;
       if (c_total < opt.min_coupling_cap) {
-        ++ctx.pairs_filtered_cap;
-        continue;
+        ++filtered;
+      } else {
+        keep(NetId{agg}, c_total);
       }
-      edges.push_back(AggressorEdge{NetId{agg_value}, c_total});
     }
-    std::sort(edges.begin(), edges.end(),
-              [](const AggressorEdge& a, const AggressorEdge& b) {
-                return a.net.value() < b.net.value();
-              });
+    return filtered;
+  };
+  ctx.agg_offsets.assign(n + 1, 0);
+  for (std::size_t vi = 0; vi < n; ++vi) {
+    std::uint32_t kept = 0;
+    ctx.pairs_filtered_cap += for_each_kept(vi, [&](NetId, double) { ++kept; });
+    ctx.agg_offsets[vi + 1] = ctx.agg_offsets[vi] + kept;
+  }
+  ctx.agg_net.resize(ctx.agg_offsets[n]);
+  ctx.agg_cap.resize(ctx.agg_offsets[n]);
+  for (std::size_t vi = 0; vi < n; ++vi) {
+    std::uint32_t slot = ctx.agg_offsets[vi];
+    (void)for_each_kept(vi, [&](NetId agg, double c_total) {
+      ctx.agg_net[slot] = agg;
+      ctx.agg_cap[slot++] = c_total;
+    });
   }
 
   // Per-net driver load (for gate-delay lookups during propagation).
@@ -99,9 +108,39 @@ AnalysisContext AnalysisContext::build(const net::Design& design,
       if (op.net.valid()) net_level[op.net.index()] = lvl;
     }
   }
-  ctx.levels.assign(max_level + 1, {});
-  for (const InstId inst_id : topo) {
-    ctx.levels[inst_level[inst_id.index()]].push_back(inst_id);
+  // Level-major slab order: a counting sort of the topological order by
+  // level, so each level keeps its instances in topological order.
+  ctx.level_offsets.assign(max_level + 2, 0);
+  for (const InstId inst_id : topo) ++ctx.level_offsets[inst_level[inst_id.index()] + 1];
+  for (std::size_t li = 0; li <= max_level; ++li) {
+    ctx.level_offsets[li + 1] += ctx.level_offsets[li];
+  }
+  std::vector<InstId> slab_inst(topo.size());
+  std::vector<std::uint32_t> fill(ctx.level_offsets.begin(), ctx.level_offsets.end() - 1);
+  for (const InstId inst_id : topo) slab_inst[fill[inst_level[inst_id.index()]]++] = inst_id;
+  ctx.slab_cell.reserve(topo.size());
+  ctx.slab_seq.reserve(topo.size());
+  ctx.in_offsets.reserve(topo.size() + 1);
+  ctx.out_offsets.reserve(topo.size() + 1);
+  ctx.in_offsets.push_back(0);
+  ctx.out_offsets.push_back(0);
+  for (const InstId inst_id : slab_inst) {
+    const net::Instance& inst = design.instance(inst_id);
+    const lib::Cell& cell = design.cell_of(inst_id);
+    ctx.slab_cell.push_back(&cell);
+    ctx.slab_seq.push_back(cell.is_sequential() ? 1 : 0);
+    // Valid nets in pin order (max-selection tie-breaking depends on it).
+    for (std::size_t pi = 0; pi < cell.pins.size(); ++pi) {
+      const net::Pin& p = design.pin(inst.pins[pi]);
+      if (!p.net.valid()) continue;
+      if (cell.pins[pi].dir == lib::PinDir::kInput) {
+        ctx.in_net.push_back(p.net);
+      } else if (cell.pins[pi].dir == lib::PinDir::kOutput) {
+        ctx.out_net.push_back(p.net);
+      }
+    }
+    ctx.in_offsets.push_back(static_cast<std::uint32_t>(ctx.in_net.size()));
+    ctx.out_offsets.push_back(static_cast<std::uint32_t>(ctx.out_net.size()));
   }
 
   // Sequential endpoints with precomputed sensitivity windows.
@@ -136,26 +175,9 @@ AnalysisContext AnalysisContext::build(const net::Design& design,
   return ctx;
 }
 
-std::size_t AnalysisContext::aggressor_pair_count() const noexcept {
-  std::size_t pairs = 0;
-  for (const auto& row : aggressors) pairs += row.size();
-  return pairs;
-}
-
-std::size_t AnalysisContext::hook_bytes() const noexcept {
-  std::size_t bytes = aggressors.capacity() * sizeof(AggRow);
-  bytes += load_cap.capacity() * sizeof(double);
-  bytes += switch_window.capacity() * sizeof(Interval);
-  bytes += port_nets.capacity() * sizeof(NetId);
-  bytes += levels.capacity() * sizeof(std::vector<InstId>);
-  for (const auto& level : levels) bytes += level.capacity() * sizeof(InstId);
-  bytes += endpoints.capacity() * sizeof(EndpointRef);
-  return bytes;
-}
-
 std::vector<NetId> AnalysisContext::dirty_closure(const para::Parasitics& para,
                                                   std::span<const NetId> changed) const {
-  const std::size_t n = aggressors.size();
+  const std::size_t n = net_count();
   std::vector<char> dirty(n, 0);
   for (const NetId net : changed) {
     if (net.index() >= n) {

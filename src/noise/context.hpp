@@ -2,14 +2,15 @@
 //
 // Everything the stages share read-only — coupling-graph adjacency,
 // per-net load caps, the levelized propagation schedule, and endpoint
-// sensitivity windows — is derived exactly once per analyze() call and
-// then handed to every stage and every worker thread. Nothing in here
-// changes during a run (the refinement loop's inflated switching windows
-// are the pipeline's only mutable state and live outside the context).
+// sensitivity windows — is derived exactly once per analyze() call, in the
+// flat form the stage kernels read, and then handed to every stage and
+// every worker thread. Nothing in here changes during a run (the
+// refinement loop's inflated switching windows are the pipeline's only
+// mutable per-net state and live in KernelBuffers, noise/kernels.hpp).
 #pragma once
 
 #include <cstddef>
-#include <memory>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -23,14 +24,12 @@ namespace nw::noise {
 
 struct Options;
 
-/// One aggressor of a victim: coupling caps between the pair, summed and
-/// pre-filtered against Options::min_coupling_cap. Sorted by aggressor id
-/// within each victim, so estimation order (and therefore contribution
-/// order and scan-line tie-breaking) is deterministic.
-struct AggressorEdge {
-  NetId net;
-  double coupling = 0.0;  ///< summed victim/aggressor coupling [F]
-};
+/// Context slab storage: every slab allocates through the tracking
+/// allocator bound to the "analysis_context" memory account, so the
+/// context's footprint shows up exactly (current/peak/allocs/frees) in the
+/// stats "memory" section.
+template <class T>
+using CtxVec = std::vector<T, obs::TrackedAlloc<T, obs::MemAccountId::kAnalysisContext>>;
 
 /// A sequential endpoint to check: one data pin of one sequential cell,
 /// with its sampling-sensitivity window precomputed from the clock
@@ -42,58 +41,55 @@ struct EndpointRef {
   Interval sensitivity;
 };
 
-/// One victim's adjacency row. The element storage comes from the context's
-/// bump arena (charged to the "analysis_context" memory account); rows are
-/// built once at context-build time and freed together with the arena, the
-/// exact lifetime a bump allocator wants. A default-constructed row (null
-/// arena) falls back to the heap and still charges the account.
-using AggRow =
-    std::vector<AggressorEdge,
-                obs::ArenaAllocator<AggressorEdge, obs::MemAccountId::kAnalysisContext>>;
-
 struct AnalysisContext {
   double vdd = 0.0;
 
-  /// Backing storage for the adjacency rows. Declared before `aggressors`
-  /// so the rows (whose arena deallocate is a no-op) are destroyed before
-  /// their blocks are released. shared_ptr keeps the rows' allocator
-  /// pointers stable when the context itself is moved.
-  std::shared_ptr<obs::Arena> arena;
-
-  /// victim -> aggressors above the coupling threshold (sorted by net id).
-  std::vector<AggRow> aggressors;
+  // --- CSR aggressor adjacency (victim-major; row vi = net vi) ---
+  // Per victim, the coupling caps to each aggressor summed in coupling
+  // storage order and pre-filtered against Options::min_coupling_cap.
+  // Sorted by aggressor id within each row, so estimation order (and
+  // therefore contribution order and scan-line tie-breaking) is
+  // deterministic.
+  CtxVec<std::uint32_t> agg_offsets;  ///< net_count+1 row starts
+  CtxVec<NetId> agg_net;              ///< aggressor id per pair slot
+  CtxVec<double> agg_cap;             ///< summed coupling per pair slot [F]
   std::size_t pairs_filtered_cap = 0;  ///< pairs dropped by the threshold
 
   /// Total capacitive load a net presents to its driver (ground + coupling
   /// + receiver pin caps) — the gate-delay lookup load during propagation.
-  std::vector<double> load_cap;
+  CtxVec<double> load_cap;
 
   /// STA switching window per net (the refinement loop's baseline).
-  std::vector<Interval> switch_window;
+  CtxVec<Interval> switch_window;
 
   /// Nets driven by input ports: finalized before any gate level runs.
-  std::vector<NetId> port_nets;
+  CtxVec<NetId> port_nets;
 
-  /// Levelized propagation schedule. Level 0 holds every sequential
-  /// instance (their outputs depend on no combinational fanin — Q noise is
-  /// injected-only); level L >= 1 holds combinational instances whose
-  /// deepest combinational fanin sits at level L-1. Instances within a
-  /// level touch disjoint nets and may run in parallel.
-  std::vector<std::vector<InstId>> levels;
+  // --- levelized propagation schedule, level-major "slab positions" ---
+  // Level 0 holds every sequential instance (their outputs depend on no
+  // combinational fanin — Q noise is injected-only); level L >= 1 holds
+  // combinational instances whose deepest combinational fanin sits at
+  // level L-1, in topological order. Instances within a level touch
+  // disjoint nets and may run in parallel.
+  CtxVec<std::uint32_t> level_offsets;  ///< levels+1 starts into the slabs
+  CtxVec<const lib::Cell*> slab_cell;
+  CtxVec<std::uint8_t> slab_seq;        ///< 1 = sequential cell
+  CtxVec<std::uint32_t> in_offsets;     ///< slab+1: CSR of input nets
+  CtxVec<NetId> in_net;                 ///< valid input nets, pin order
+  CtxVec<std::uint32_t> out_offsets;    ///< slab+1: CSR of output nets
+  CtxVec<NetId> out_net;                ///< valid output nets, pin order
 
   /// Sequential endpoints in deterministic (instance, pin) order.
-  std::vector<EndpointRef> endpoints;
+  CtxVec<EndpointRef> endpoints;
 
-  /// Total victim/aggressor pairs over every adjacency row — the flat
-  /// (CSR) size of the aggressor graph. KernelBuffers (noise/kernels.hpp)
-  /// sizes its packed slabs from this.
-  [[nodiscard]] std::size_t aggressor_pair_count() const noexcept;
-
-  /// Capacity-based bytes of the members the arena does NOT back (levels,
-  /// windows, endpoints, the row-header vector). The Pipeline charges this
-  /// to the "analysis_context" account via a size-accounting hook; adding
-  /// it to the arena's self-charged blocks gives the context's footprint.
-  [[nodiscard]] std::size_t hook_bytes() const noexcept;
+  [[nodiscard]] std::size_t net_count() const noexcept { return load_cap.size(); }
+  [[nodiscard]] std::size_t pair_count() const noexcept { return agg_net.size(); }
+  [[nodiscard]] std::size_t level_count() const noexcept {
+    return level_offsets.empty() ? 0 : level_offsets.size() - 1;
+  }
+  [[nodiscard]] std::size_t level_size(std::size_t li) const noexcept {
+    return level_offsets[li + 1] - level_offsets[li];
+  }
 
   /// Derive the context. `sta_result` must match the design (checked).
   [[nodiscard]] static AnalysisContext build(const net::Design& design,

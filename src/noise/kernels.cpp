@@ -13,8 +13,7 @@ Combined combine_flat(std::span<const Contribution> contributions, AnalysisMode 
   Combined out;
   const bool injected_only = view == CombineView::kInjectedOnly;
   if (mode == AnalysisMode::kNoFiltering && constraints.empty()) {
-    // Everything coincides, always. Summation in (compacted) index order —
-    // the order the scalar path sums its (filtered) vector in.
+    // Everything coincides, always. Summation in (compacted) index order.
     std::size_t j = 0;
     for (const auto& c : contributions) {
       if (injected_only && c.is_propagated()) continue;
@@ -27,8 +26,8 @@ Combined combine_flat(std::span<const Contribution> contributions, AnalysisMode 
   }
 
   // Gather the view's member intervals into flat spans in (item, member)
-  // order — exactly the event sequence the scalar path builds — so the
-  // event sort (and with it summation order at ties) cannot differ.
+  // order — the event sequence of the view's WeightedWindow items — so the
+  // event sort (and with it summation order at ties) is fixed.
   s.lo.clear();
   s.hi.clear();
   s.item.clear();
@@ -136,113 +135,50 @@ namespace {
 constexpr std::size_t kPackChunk = 8;
 }  // namespace
 
-KernelBuffers KernelBuffers::build(const net::Design& design,
-                                   const AnalysisContext& ctx) {
-  KernelBuffers kb;
-  kb.vdd = ctx.vdd;
-  const std::size_t n = ctx.aggressors.size();
-  const std::size_t pairs = ctx.aggressor_pair_count();
-
-  kb.agg_offsets.reserve(n + 1);
-  kb.agg_net.reserve(pairs);
-  kb.agg_cap.reserve(pairs);
-  kb.agg_offsets.push_back(0);
-  for (const auto& row : ctx.aggressors) {
-    for (const AggressorEdge& e : row) {
-      kb.agg_net.push_back(e.net);
-      kb.agg_cap.push_back(e.coupling);
-    }
-    kb.agg_offsets.push_back(static_cast<std::uint32_t>(kb.agg_net.size()));
-  }
-  kb.pair_slew.assign(pairs, 0.0);
-
-  kb.load_cap.assign(ctx.load_cap.begin(), ctx.load_cap.end());
-  kb.switch_lo.resize(n);
-  kb.switch_hi.resize(n);
-
-  std::size_t insts = 0;
-  for (const auto& level : ctx.levels) insts += level.size();
-  kb.level_offsets.reserve(ctx.levels.size() + 1);
-  kb.level_offsets.push_back(0);
-  kb.slab_cell.reserve(insts);
-  kb.slab_seq.reserve(insts);
-  kb.in_offsets.reserve(insts + 1);
-  kb.out_offsets.reserve(insts + 1);
-  kb.in_offsets.push_back(0);
-  kb.out_offsets.push_back(0);
-  for (const auto& level : ctx.levels) {
-    for (const InstId inst_id : level) {
-      const net::Instance& inst = design.instance(inst_id);
-      const lib::Cell& cell = design.cell_of(inst_id);
-      kb.slab_cell.push_back(&cell);
-      kb.slab_seq.push_back(cell.is_sequential() ? 1 : 0);
-      // Valid nets in pin order — the order the scalar propagate loops
-      // visit them in (max-selection tie-breaking depends on it).
-      for (std::size_t pi = 0; pi < cell.pins.size(); ++pi) {
-        const net::Pin& p = design.pin(inst.pins[pi]);
-        if (!p.net.valid()) continue;
-        if (cell.pins[pi].dir == lib::PinDir::kInput) {
-          kb.in_net.push_back(p.net);
-        } else if (cell.pins[pi].dir == lib::PinDir::kOutput) {
-          kb.out_net.push_back(p.net);
-        }
-      }
-      kb.in_offsets.push_back(static_cast<std::uint32_t>(kb.in_net.size()));
-      kb.out_offsets.push_back(static_cast<std::uint32_t>(kb.out_net.size()));
-    }
-    kb.level_offsets.push_back(static_cast<std::uint32_t>(kb.slab_cell.size()));
-  }
-
-  kb.sens_lo.reserve(ctx.endpoints.size());
-  kb.sens_hi.reserve(ctx.endpoints.size());
-  kb.ep_net.reserve(ctx.endpoints.size());
-  for (const EndpointRef& ep : ctx.endpoints) {
-    kb.sens_lo.push_back(ep.sensitivity.lo);
-    kb.sens_hi.push_back(ep.sensitivity.hi);
-    kb.ep_net.push_back(ep.net);
-  }
-  return kb;
-}
-
-void KernelBuffers::set_switch_windows(std::span<const Interval> windows) {
-  for (std::size_t i = 0; i < windows.size(); ++i) {
-    switch_lo[i] = windows[i].lo;
-    switch_hi[i] = windows[i].hi;
+KernelBuffers::KernelBuffers(const AnalysisContext& ctx) {
+  switch_lo.resize(ctx.net_count());
+  switch_hi.resize(ctx.net_count());
+  for (std::size_t i = 0; i < ctx.net_count(); ++i) {
+    switch_lo[i] = ctx.switch_window[i].lo;
+    switch_hi[i] = ctx.switch_window[i].hi;
   }
 }
 
-void KernelBuffers::pack_scenarios(const net::Design& design,
+void KernelBuffers::pack_scenarios(const AnalysisContext& ctx,
+                                   const net::Design& design,
                                    const para::Parasitics& para,
                                    const sta::Result& sta, const Options& opt,
                                    const std::vector<char>* dirty,
                                    util::Executor& exec) {
-  const std::size_t n = agg_offsets.empty() ? 0 : agg_offsets.size() - 1;
+  const std::size_t n = ctx.net_count();
+  const std::size_t pairs = ctx.pair_count();
   const bool analytic =
       opt.model != GlitchModel::kReducedMna && opt.model != GlitchModel::kMnaExact;
-  if (analytic && sc_r_hold.size() != agg_net.size()) {
-    sc_r_hold.assign(agg_net.size(), 0.0);
-    sc_c_ground.assign(agg_net.size(), 0.0);
-    sc_c_couple.assign(agg_net.size(), 0.0);
-    sc_slew.assign(agg_net.size(), 0.0);
+  if (pair_slew.size() != pairs) pair_slew.assign(pairs, 0.0);
+  if (analytic && sc_r_hold.size() != pairs) {
+    sc_r_hold.assign(pairs, 0.0);
+    sc_c_ground.assign(pairs, 0.0);
+    sc_c_couple.assign(pairs, 0.0);
+    sc_slew.assign(pairs, 0.0);
   }
   exec.parallel_for("pack-scenarios", n, kPackChunk,
                     [&](std::size_t begin, std::size_t end) {
     for (std::size_t vi = begin; vi < end; ++vi) {
       if (dirty != nullptr && !(*dirty)[vi]) continue;
-      for (std::uint32_t k = agg_offsets[vi]; k < agg_offsets[vi + 1]; ++k) {
-        const NetId agg = agg_net[k];
-        // The slew rule of the scalar estimation loop, verbatim
-        // (comparison + select + max: no arithmetic, bit-exact).
+      for (std::uint32_t k = ctx.agg_offsets[vi]; k < ctx.agg_offsets[vi + 1]; ++k) {
+        const NetId agg = ctx.agg_net[k];
+        // The aggressor slew rule: STA slew, else the default, floored
+        // (comparison + select + max: no arithmetic).
         const sta::NetTiming& at = sta.nets[agg.index()];
         double slew = at.slew_min > 0.0 ? at.slew_min : opt.default_slew;
         slew = std::max(slew, 1e-12);
         pair_slew[k] = slew;
         if (analytic) {
-          // The same scenario_for() call the scalar path makes per pair —
-          // its mixed-order c_other_coupling accumulation is not
-          // decomposable, so it is shared rather than re-derived.
+          // scenario_for() per pair: its mixed-order c_other_coupling
+          // accumulation is not decomposable, so it is called rather than
+          // re-derived.
           const CouplingScenario s =
-              scenario_for(design, para, NetId{vi}, agg, slew, vdd);
+              scenario_for(design, para, NetId{vi}, agg, slew, ctx.vdd);
           sc_r_hold[k] = s.r_hold;
           sc_c_ground[k] = s.c_ground;
           sc_c_couple[k] = s.c_couple;

@@ -1,36 +1,22 @@
-// Structure-of-arrays kernel buffers and the flat analysis kernels.
+// The flat analysis kernels and the per-pass kernel operands.
 //
-// The per-net hot path (noise/analyzer.cpp) walks pointer-rich structures:
-// vector<vector<AggressorEdge>> adjacency, IntervalSet windows on every
-// contribution, and per-pair CouplingScenario construction inside the
-// estimation loop. KernelBuffers mirrors everything those loops read into
-// flat, contiguous slabs — CSR aggressor adjacency, packed per-pair
-// estimation operands, flat switching windows, per-level instance slabs,
-// and flat endpoint sensitivities — so the stage kernels stream over plain
-// double arrays instead of chasing heap nodes.
+// The stage loops (noise/analyzer.cpp) stream over the flat slabs of the
+// AnalysisContext (CSR aggressor adjacency, level-major instance slabs,
+// one endpoint list) plus the per-pass operands held here: packed per-pair
+// estimation operands and the current pass's switching windows, as plain
+// double arrays instead of heap nodes. Every floating-point expression
+// lives in exactly one compiled function — the flat kernels below, the
+// peaks_* spans in glitch_models, the event-scan cores in util/scanline —
+// so there is one FP-contraction decision per expression in any build.
 //
-// Bit-identity contract: the vector path (Options::simd == kVector) must
-// produce a byte-identical Result to the scalar reference path. Three
-// mechanisms guarantee it:
+// Test oracles (tests/test_kernels.cpp) pin the flat code to the reference
+// operations: combine_flat against the WeightedWindow scan, union_flat
+// against repeated IntervalSet::add(), and whole Results against a per-net
+// recomputation from public functions.
 //
-//   1. Shared arithmetic. Every floating-point expression lives in exactly
-//      one compiled function — the flat kernels (peaks_* in glitch_models,
-//      the event-scan cores in util/scanline) — and the scalar path calls
-//      the same functions with count-1 spans. With one definition there is
-//      one FP-contraction decision, so -ffp-contract=fast cannot split the
-//      paths.
-//   2. Identical sequences. combine_flat() feeds the scan core the same
-//      (interval, item) event sequence the scalar combine() builds, in the
-//      same order, so sorting and summation order cannot differ.
-//   3. Selection-only restructuring. The batch union and window transforms
-//      only shift/compare/min/max endpoint values — the same operations
-//      IntervalSet::add()/intersect() perform, in an order that provably
-//      produces the same canonical interval list.
-//
-// The buffers are derived from an AnalysisContext once per Pipeline and
-// packed lazily: structure (CSR, slabs) at build time, per-pair scenario
-// operands on first estimation (incremental runs pack only dirty rows —
-// clean rows reuse previous contributions and never read their slots).
+// The operands are packed lazily: per-pair scenario operands on first
+// estimation (incremental runs pack only dirty rows — clean rows reuse
+// previous contributions and never read their slots).
 #pragma once
 
 #include <cstddef>
@@ -53,7 +39,7 @@ namespace nw::noise {
 
 /// Worst simultaneous sum of contributions, optionally restricted to a
 /// time window (mode 3 latch checks restrict to the sensitivity window).
-/// Produced by both the scalar combine and combine_flat().
+/// Produced by combine_flat().
 struct Combined {
   double peak = 0.0;
   double width = 0.0;
@@ -61,27 +47,25 @@ struct Combined {
   std::vector<std::size_t> active;
 };
 
-/// Which contributions a combination sees. The scalar path materializes
-/// these views by copying the contribution vector; the flat path gathers
-/// them directly.
+/// Which contributions a combination sees; combine_flat() gathers each view
+/// in place, without copying the contribution vector.
 enum class CombineView {
   /// Every contribution, windows as recorded. `active` holds original
   /// contribution indices.
   kAll,
   /// Injected contributions only (skips fanin-propagated ones). Indices
-  /// are COMPACTED — 0..m-1 in original relative order — matching the
-  /// scalar path's filtered-copy vector, so event sort tie-breaking (and
-  /// with it summation order) is identical. Only `.peak` is meaningful to
-  /// current callers.
+  /// are COMPACTED — 0..m-1 in original relative order — exactly as if the
+  /// view were a filtered copy, which fixes event sort tie-breaking (and
+  /// with it summation order). Only `.peak` is meaningful to current
+  /// callers.
   kInjectedOnly,
   /// Propagated windows widened to `everything` (provenance's
   /// "switching-windows" stage). Original indices.
   kPropagatedOpen,
 };
 
-/// Reusable gather/scan scratch for combine_flat — one per thread, so the
-/// per-combination IntervalSet/WeightedWindow heap churn of the scalar
-/// path disappears entirely.
+/// Reusable gather/scan scratch for combine_flat — one per thread, so a
+/// combination allocates nothing once the scratch has grown.
 struct CombineScratch {
   std::vector<double> lo, hi;       ///< member intervals, flat
   std::vector<std::size_t> item;    ///< owning item per member
@@ -93,8 +77,9 @@ struct CombineScratch {
 
 /// Flat-span combine: gathers the view's member intervals into scratch
 /// spans, clips them against `restrict_to` elementwise, and runs the shared
-/// event-scan core. Bit-identical to the scalar combine() on the same view
-/// (see file header). Thread-safe for distinct scratch objects.
+/// event-scan core. Bit-identical to scan_max_overlap(_grouped) over the
+/// same view's WeightedWindow items (tested). Thread-safe for distinct
+/// scratch objects.
 [[nodiscard]] Combined combine_flat(std::span<const Contribution> contributions,
                                     AnalysisMode mode, const Interval& restrict_to,
                                     const Constraints& constraints, CombineView view,
@@ -109,8 +94,8 @@ namespace kernels {
 void clip(std::span<double> lo, std::span<double> hi, const Interval& r);
 
 /// out[i] = hi[i] + (delay[i] + width[i]) — the right-edge extension of
-/// Interval::dilated(0.0, peak_delay + width), batched. The association
-/// matches the scalar path exactly: `after` is formed first, then added.
+/// Interval::dilated(0.0, peak_delay + width), batched, with the same
+/// association: `after` is formed first, then added.
 void extend_right(std::span<const double> hi, std::span<const double> delay,
                   std::span<const double> width, std::span<double> out);
 
@@ -125,26 +110,18 @@ void extend_right(std::span<const double> hi, std::span<const double> delay,
 }  // namespace kernels
 
 /// Kernel-buffer slab storage: every slab allocates through the tracking
-/// allocator bound to the "kernel_buffers" memory account, so the CSR +
-/// scenario footprint shows up exactly (current/peak/allocs/frees) in the
-/// schema-v5 stats "memory" section. Stateless allocator — the vectors
-/// move/swap exactly like std::vector.
+/// allocator bound to the "kernel_buffers" memory account, so the operand
+/// footprint shows up exactly (current/peak/allocs/frees) in the stats
+/// "memory" section. Stateless allocator — the vectors move/swap exactly
+/// like std::vector.
 template <class T>
 using KbVec = std::vector<T, obs::TrackedAlloc<T, obs::MemAccountId::kKernelBuffers>>;
 
-/// Flat mirror of the AnalysisContext structures the stage kernels read,
-/// plus packed per-pair estimation operands. Immutable structure after
-/// build(); set_switch_windows() and pack_scenarios() fill the mutable
-/// slabs (per refinement pass and lazily-once respectively).
+/// The per-pass kernel operands, slot-parallel to the context's CSR
+/// (per-pair slabs) or indexed by net (switching windows). The structure
+/// they index lives in the AnalysisContext.
 struct KernelBuffers {
-  double vdd = 0.0;
-
-  // --- CSR aggressor adjacency (victim-major; row vi = net vi) ---
-  KbVec<std::uint32_t> agg_offsets;  ///< net_count+1 row starts
-  KbVec<NetId> agg_net;              ///< aggressor id per pair slot
-  KbVec<double> agg_cap;             ///< summed coupling per pair slot
-
-  // --- per-pair estimation operands (slot-parallel to agg_net) ---
+  // --- per-pair estimation operands (slot-parallel to ctx.agg_net) ---
   /// Aggressor slew after the STA/default/floor rule — the raw input the
   /// MNA models take. Packed by pack_scenarios() for every model.
   KbVec<double> pair_slew;
@@ -152,32 +129,14 @@ struct KernelBuffers {
   /// models (the MNA models rebuild circuits from the design per pair).
   KbVec<double> sc_r_hold, sc_c_ground, sc_c_couple, sc_slew;
 
-  // --- flat per-net arrays ---
-  KbVec<double> switch_lo, switch_hi;  ///< current pass's windows
-  KbVec<double> load_cap;              ///< gate-delay lookup loads
+  /// The current pass's switching windows (lo > hi = never switches):
+  /// seeded from ctx.switch_window, then rewritten in place by each
+  /// refinement pass.
+  KbVec<double> switch_lo, switch_hi;
 
-  // --- per-level contiguous instance slabs (level-major "slab position") ---
-  KbVec<std::uint32_t> level_offsets;  ///< levels+1 starts into slabs
-  KbVec<const lib::Cell*> slab_cell;
-  KbVec<std::uint8_t> slab_seq;        ///< 1 = sequential cell
-  KbVec<std::uint32_t> in_offsets;     ///< slab+1: CSR of input nets
-  KbVec<NetId> in_net;                 ///< valid input nets, pin order
-  KbVec<std::uint32_t> out_offsets;    ///< slab+1: CSR of output nets
-  KbVec<NetId> out_net;                ///< valid output nets, pin order
-
-  // --- flat endpoints ---
-  KbVec<double> sens_lo, sens_hi;
-  KbVec<NetId> ep_net;
-
-  /// Derive every structural slab from the context (O(nets + pairs +
-  /// instances); no floating-point transformation, values are copied).
-  [[nodiscard]] static KernelBuffers build(const net::Design& design,
-                                           const AnalysisContext& ctx);
-
-  /// Re-gather the (possibly refinement-inflated) switching windows into
-  /// the flat lo/hi arrays. Called once per estimation pass. Empty windows
-  /// keep their lo > hi encoding.
-  void set_switch_windows(std::span<const Interval> windows);
+  KernelBuffers() = default;
+  /// Seed the switching windows from the context's STA baseline.
+  explicit KernelBuffers(const AnalysisContext& ctx);
 
   /// Pack per-pair estimation operands: the slew rule for every pair, plus
   /// scenario_for()'s fields for analytic models. `dirty == nullptr` packs
@@ -186,9 +145,10 @@ struct KernelBuffers {
   /// independent; parallelized over victims on `exec`. Idempotent per
   /// Pipeline via scenarios_packed() — operands depend only on immutable
   /// design/parasitics/STA state, never on refinement windows.
-  void pack_scenarios(const net::Design& design, const para::Parasitics& para,
-                      const sta::Result& sta, const Options& opt,
-                      const std::vector<char>* dirty, util::Executor& exec);
+  void pack_scenarios(const AnalysisContext& ctx, const net::Design& design,
+                      const para::Parasitics& para, const sta::Result& sta,
+                      const Options& opt, const std::vector<char>* dirty,
+                      util::Executor& exec);
 
   [[nodiscard]] bool scenarios_packed() const noexcept { return packed_; }
 

@@ -60,7 +60,7 @@ void write_report(std::ostream& os, const net::Design& design, const Options& op
     os << "\n";
 
     // Origin of the worst violation: the nets a fix would target.
-    const NoiseTrace origin = trace_origin(result, sorted.front()->net);
+    const NoiseTrace origin = trace_origin(design, result, sorted.front()->net);
     if (!origin.path.empty()) {
       os << "worst violation origin: " << trace_string(design, origin) << "\n\n";
     }

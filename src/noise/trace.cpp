@@ -1,5 +1,6 @@
 #include "noise/trace.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <unordered_set>
 
@@ -7,7 +8,7 @@
 
 namespace nw::noise {
 
-NoiseTrace trace_origin(const Result& result, NetId net) {
+NoiseTrace trace_origin(const net::Design& design, const Result& result, NetId net) {
   NoiseTrace trace;
   if (net.index() >= result.nets.size()) {
     throw std::invalid_argument("trace_origin: bad net id");
@@ -43,6 +44,8 @@ NoiseTrace trace_origin(const Result& result, NetId net) {
     for (const auto& c : origin.contributions) {
       if (c.in_worst && !c.is_propagated()) trace.aggressors.push_back(c.aggressor);
     }
+    std::sort(trace.aggressors.begin(), trace.aggressors.end(),
+              [&](NetId a, NetId b) { return design.net(a).name < design.net(b).name; });
   }
   return trace;
 }

@@ -24,13 +24,17 @@ struct TraceStep {
 struct NoiseTrace {
   /// From the queried net (front) back to the injection net (back).
   std::vector<TraceStep> path;
-  /// Aggressors in the worst combination at the injection net.
+  /// Aggressors in the worst combination at the injection net, ordered by
+  /// net name — a canonical order that survives net renumbering and
+  /// coupling reordering (e.g. a .nv/.nwspef round trip).
   std::vector<NetId> aggressors;
 };
 
 /// Trace the worst glitch on `net` back to its origin. Returns an empty
-/// trace if the net carries no noise.
-[[nodiscard]] NoiseTrace trace_origin(const Result& result, NetId net);
+/// trace if the net carries no noise. `design` names the aggressors for
+/// their canonical order.
+[[nodiscard]] NoiseTrace trace_origin(const net::Design& design, const Result& result,
+                                      NetId net);
 
 /// Human-readable rendering: "y2 (412.0 mV) <- via gate <- w2 (500.1 mV)
 /// [aggressors: w1 w3]".

@@ -171,7 +171,6 @@ struct RunMeta {
   std::string model;           ///< glitch model string
   std::string options_digest;  ///< stable hash of every analysis option
   std::string build;           ///< git describe (or "unknown")
-  std::string simd;            ///< resolved kernel path ("scalar"/"vector")
   int threads = 1;             ///< resolved executor parallelism
   int iterations = 1;          ///< analysis passes run
 };

@@ -72,6 +72,22 @@ Parasitics read_spef(std::istream& is, const net::Design& design) {
     throw std::runtime_error("nwspef line " + std::to_string(lineno) + ": " + msg);
   };
 
+  // Range-check one value: no allocation unless it fails.
+  auto value = [&](std::string_view tok, double max, const char* what) {
+    double v = 0.0;
+    try {
+      v = nw::parse_double(tok);
+    } catch (const std::invalid_argument& e) {
+      fail(std::string(what) + ": " + e.what());
+    }
+    if (!(v >= 0.0 && v <= max)) {
+      std::ostringstream os;
+      os << what << " value " << v << " outside [0, " << max << "]";
+      fail(os.str());
+    }
+    return v;
+  };
+
   NetId cur_net;
   bool in_net = false;
   bool saw_header = false;
@@ -94,12 +110,16 @@ Parasitics read_spef(std::istream& is, const net::Design& design) {
       cur_net = *id;
       in_net = true;
       const auto n_nodes = nw::parse_uint(toks[2]);
+      if (n_nodes > kMaxSpefNetNodes) {
+        fail("*NET node count " + std::to_string(n_nodes) + " exceeds " +
+             std::to_string(kMaxSpefNetNodes));
+      }
       RcNet& rc = para.net(cur_net);
       while (rc.node_count() < n_nodes) rc.add_node();
     } else if (key == "*C") {
       if (!in_net || toks.size() < 3) fail("bad *C line");
       para.net(cur_net).add_cap(static_cast<std::uint32_t>(nw::parse_uint(toks[1])),
-                                nw::parse_double(toks[2]));
+                                value(toks[2], kMaxSpefCapacitance, "*C"));
     } else if (key == "*P") {
       if (!in_net || toks.size() < 3) fail("bad *P line");
       para.net(cur_net).attach_pin(static_cast<std::uint32_t>(nw::parse_uint(toks[1])),
@@ -108,7 +128,7 @@ Parasitics read_spef(std::istream& is, const net::Design& design) {
       if (!in_net || toks.size() < 4) fail("bad *R line");
       para.net(cur_net).add_res(static_cast<std::uint32_t>(nw::parse_uint(toks[1])),
                                 static_cast<std::uint32_t>(nw::parse_uint(toks[2])),
-                                nw::parse_double(toks[3]));
+                                value(toks[3], kMaxSpefResistance, "*R"));
     } else if (key == "*ENDNET") {
       if (!in_net) fail("*ENDNET outside net");
       in_net = false;
@@ -120,7 +140,7 @@ Parasitics read_spef(std::istream& is, const net::Design& design) {
       if (!a || !b) fail("unknown net in *CC");
       para.add_coupling(*a, static_cast<std::uint32_t>(nw::parse_uint(toks[2])), *b,
                         static_cast<std::uint32_t>(nw::parse_uint(toks[4])),
-                        nw::parse_double(toks[5]));
+                        value(toks[5], kMaxSpefCapacitance, "*CC"));
     } else if (key == "*END") {
       return para;
     } else {

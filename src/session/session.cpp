@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <optional>
 #include <utility>
 
@@ -25,7 +26,9 @@ std::optional<std::uint64_t> parse_uint(const std::string& s) {
 std::optional<double> parse_double(const std::string& s) {
   double v = 0.0;
   const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
+  if (ec != std::errc{} || ptr != s.data() + s.size() || !std::isfinite(v)) {
+    return std::nullopt;
+  }
   return v;
 }
 
@@ -42,13 +45,6 @@ std::optional<noise::GlitchModel> parse_model(const std::string& s) {
   if (s == "two-pi") return noise::GlitchModel::kTwoPi;
   if (s == "reduced-mna") return noise::GlitchModel::kReducedMna;
   if (s == "mna-exact") return noise::GlitchModel::kMnaExact;
-  return std::nullopt;
-}
-
-std::optional<noise::SimdMode> parse_simd(const std::string& s) {
-  if (s == "auto") return noise::SimdMode::kAuto;
-  if (s == "scalar") return noise::SimdMode::kScalar;
-  if (s == "vector") return noise::SimdMode::kVector;
   return std::nullopt;
 }
 
@@ -160,7 +156,7 @@ noise::NoiseTrace Session::trace(NetId net) {
   if (net.index() >= design().net_count()) {
     throw NotFound("net id " + std::to_string(net.value()) + " outside the design");
   }
-  return noise::trace_origin(result(), net);
+  return noise::trace_origin(design(), result(), net);
 }
 
 std::vector<EndpointSlack> Session::endpoint_slacks() {
@@ -228,8 +224,22 @@ void Session::set_driver_cell(const std::string& inst, const std::string& cell) 
 void Session::scale_net_parasitics(const std::string& net, double cap_factor,
                                    double res_factor) {
   const NetId id = require_net(net);
-  if (cap_factor <= 0.0 || res_factor <= 0.0) {
-    throw std::invalid_argument("scale_net_parasitics: factors must be positive");
+  if (!(std::isfinite(cap_factor) && cap_factor > 0.0 && std::isfinite(res_factor) &&
+        res_factor > 0.0)) {
+    throw std::invalid_argument("scale_net_parasitics: factors must be finite and positive");
+  }
+  // Refuse an edit whose scaled values (or their net totals) overflow: an
+  // infinite cap or resistance would reach the analysis kernels.
+  const para::RcNet& rc = parasitics().net(id);
+  double cap_total = 0.0;
+  for (std::uint32_t n = 0; n < rc.node_count(); ++n) {
+    cap_total += rc.node(n).cground * cap_factor;
+  }
+  double res_total = 0.0;
+  for (const para::RcRes& r : rc.resistors()) res_total += r.r * res_factor;
+  if (!std::isfinite(cap_total) || !std::isfinite(res_total)) {
+    throw std::invalid_argument("scale_net_parasitics: scaling '" + net +
+                                "' overflows its capacitance or resistance");
   }
   para::RcNet saved = parasitics().net(id);  // capture before mutating (bit-exact undo)
   mut_para().net(id).scale(cap_factor, res_factor);
@@ -248,8 +258,8 @@ void Session::set_coupling_cap(const std::string& net_a, const std::string& net_
     throw std::invalid_argument("set_coupling_cap: '" + net_a +
                                 "' cannot couple to itself");
   }
-  if (cap <= 0.0) {
-    throw std::invalid_argument("set_coupling_cap: capacitance must be positive");
+  if (!(std::isfinite(cap) && cap > 0.0)) {
+    throw std::invalid_argument("set_coupling_cap: capacitance must be finite and positive");
   }
   std::vector<std::pair<std::size_t, double>> existing;  // (index, old value)
   for (const std::size_t ci : parasitics().couplings_of(a)) {
@@ -284,6 +294,9 @@ void Session::set_arrival_window(const std::string& port, Interval window) {
     }
   }
   if (!found) throw NotFound("unknown input port '" + port + "'");
+  if (!std::isfinite(window.lo) || !std::isfinite(window.hi)) {
+    throw std::invalid_argument("set_arrival_window: non-finite window for '" + port + "'");
+  }
   if (window.is_empty()) {
     throw std::invalid_argument("set_arrival_window: empty window for '" + port + "'");
   }
@@ -350,16 +363,6 @@ void Session::set_option(const std::string& name, const std::string& value) {
                                   "' (expected an integer in [0, 1024])");
     }
     cfg_.noise.threads = static_cast<int>(*v);
-  } else if (name == "simd") {
-    // Like threads, a pure execution knob: results are bit-identical on
-    // either kernel path and simd is excluded from the options digest, so
-    // switching it never invalidates the result cache.
-    const auto m = parse_simd(value);
-    if (!m) {
-      throw std::invalid_argument("set_option simd: '" + value +
-                                  "' (expected auto | scalar | vector)");
-    }
-    cfg_.noise.simd = *m;
   } else if (name == "refine") {
     const auto v = parse_uint(value);
     if (!v || *v > 64) {
@@ -377,7 +380,7 @@ void Session::set_option(const std::string& name, const std::string& value) {
   } else {
     throw std::invalid_argument(
         "set_option: unknown option '" + name +
-        "' (expected mode | model | threads | simd | refine | period)");
+        "' (expected mode | model | threads | refine | period)");
   }
   UndoEntry e;
   e.what = "set_option " + name + " " + value;

@@ -1,6 +1,7 @@
 #include "util/strings.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <stdexcept>
 
 namespace nw {
@@ -37,6 +38,9 @@ double parse_double(std::string_view s) {
   const auto [ptr, ec] = std::from_chars(begin, end, v);
   if (ec != std::errc{} || ptr != end) {
     throw std::invalid_argument("parse_double: bad number '" + std::string(s) + "'");
+  }
+  if (!std::isfinite(v)) {
+    throw std::invalid_argument("parse_double: non-finite number '" + std::string(s) + "'");
   }
   return v;
 }

@@ -17,7 +17,8 @@ namespace nw {
 /// True if `s` begins with `prefix`.
 [[nodiscard]] bool starts_with(std::string_view s, std::string_view prefix) noexcept;
 
-/// Parse a double; throws std::invalid_argument with context on failure.
+/// Parse a finite double; throws std::invalid_argument with context on a
+/// malformed, out-of-range or non-finite (nan/inf) value.
 [[nodiscard]] double parse_double(std::string_view s);
 
 /// Parse a non-negative integer; throws std::invalid_argument on failure.

@@ -53,37 +53,6 @@ TEST(Cli, DemoUnknownFails) {
   EXPECT_NE(err.find("unknown demo"), std::string::npos);
 }
 
-TEST(Cli, SimdFlagAcceptsKnownValues) {
-  for (const char* simd : {"auto", "scalar", "vector"}) {
-    std::string out;
-    const int rc = run({"--demo", "bus", "--simd", simd}, &out);
-    EXPECT_TRUE(rc == 0 || rc == 2) << simd;
-    EXPECT_NE(out.find("noisewin report"), std::string::npos) << simd;
-  }
-}
-
-TEST(Cli, SimdFlagRejectsUnknownValue) {
-  std::string err;
-  EXPECT_EQ(run({"--demo", "bus", "--simd", "avx999"}, nullptr, &err), 1);
-  // Fail-fast with the flag name and the accepted set.
-  EXPECT_NE(err.find("unknown --simd value 'avx999'"), std::string::npos) << err;
-  EXPECT_NE(err.find("auto | scalar | vector"), std::string::npos) << err;
-  EXPECT_EQ(run({"--demo", "bus", "--simd"}, nullptr, &err), 1);  // missing value
-}
-
-TEST(Cli, SimdPathsProduceIdenticalReports) {
-  std::string scalar_out;
-  std::string vector_out;
-  const int rc_s = run({"--demo", "bus", "--mode", "noise-windows", "--simd",
-                        "scalar"},
-                       &scalar_out);
-  const int rc_v = run({"--demo", "bus", "--mode", "noise-windows", "--simd",
-                        "vector"},
-                       &vector_out);
-  EXPECT_EQ(rc_s, rc_v);
-  EXPECT_EQ(scalar_out, vector_out);
-}
-
 TEST(Cli, FileFlowEndToEnd) {
   // Write library/netlist/spef/arrivals for a generated bus, then run the
   // CLI against the files.

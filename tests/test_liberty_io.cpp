@@ -1,6 +1,10 @@
 // .nlib serialization round-trip and error handling.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <stdexcept>
+#include <string>
+
 #include "library/liberty_io.hpp"
 
 namespace nw::lib {
@@ -77,6 +81,66 @@ TEST(LibertyIo, Errors) {
       (void)read_library_string("library t vdd 1\ncell C kind bogus drive 1 holdres 1 "
                                 "setup 0 holdt 0\nend_cell\nend_library\n"),
       std::runtime_error);
+}
+
+/// The default library's text with the first line starting with `key`
+/// replaced by `line`.
+std::string with_line(const std::string& key, const std::string& line) {
+  std::istringstream in(write_library_string(default_library()));
+  std::string out;
+  std::string l;
+  bool done = false;
+  while (std::getline(in, l)) {
+    if (!done && l.rfind(key, 0) == 0) {
+      l = line;
+      done = true;
+    }
+    out += l + "\n";
+  }
+  EXPECT_TRUE(done) << key;
+  return out;
+}
+
+/// The error read_library_string raises on `text` ("" if it parses).
+std::string read_error(const std::string& text) {
+  try {
+    (void)read_library_string(text);
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(LibertyIo, TruncatedTableLinesAreNamedErrors) {
+  EXPECT_NE(read_error(with_line("delay_rise", "delay_rise t2")).find("t2: missing sizes"),
+            std::string::npos);
+  EXPECT_NE(read_error(with_line("delay_rise", "delay_rise t2 3")).find("t2: missing sizes"),
+            std::string::npos);
+  EXPECT_NE(read_error(with_line("immunity", "immunity t1")).find("t1: missing size"),
+            std::string::npos);
+  EXPECT_NE(read_error(with_line("delay_rise", "delay_rise t2 2 2 ; 1 2 ; 1 2 ; 1"))
+                .find("t2: count 4 exceeds"),
+            std::string::npos);
+}
+
+TEST(LibertyIo, HugeTableCountsFailBeforeAllocating) {
+  EXPECT_NE(read_error(with_line("immunity", "immunity t1 1000000000000000 ; 1 ; 1"))
+                .find("t1: count 1000000000000000 exceeds"),
+            std::string::npos);
+  // 2^33 x 2^33 wraps a 64-bit size_t: the checked product refuses it.
+  EXPECT_NE(read_error(with_line("prop_peak", "prop_peak t2 8589934592 8589934592 ; 1"))
+                .find("overflows"),
+            std::string::npos);
+  EXPECT_NE(read_error(with_line("prop_peak", "prop_peak t2 1 4294967296 ; 1 ; 1"))
+                .find("exceeds"),
+            std::string::npos);
+}
+
+TEST(LibertyIo, ArcPinOutOfRangeIsNamedError) {
+  EXPECT_NE(read_error(with_line("arc ", "arc 0 99 neg")).find("arc pin index out of range"),
+            std::string::npos);
+  EXPECT_NE(read_error(with_line("arc ", "arc 7 0 neg")).find("arc pin index out of range"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 // counts, leaning on the analyzer's own determinism guarantee.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -252,6 +254,38 @@ TEST(Session, FailedEditsLeaveStateUntouched) {
   EXPECT_EQ(s.epoch(), epoch0);
   EXPECT_EQ(s.undo_depth(), 0u);
   expect_bit_identical(s.result(), snapshot);
+}
+
+// Two cap_factor 1e300 edits used to overflow a ground cap to infinity
+// and hang the next analysis; the overflowing edit is now refused before
+// anything mutates, and non-finite arguments are refused outright.
+TEST(Session, OverflowingAndNonFiniteEditsAreRefused) {
+  Session s = make_session();
+  s.scale_net_parasitics("w1", 1e300, 1.0);  // large but finite: accepted
+  const std::uint64_t epoch1 = s.epoch();
+  const std::size_t depth1 = s.undo_depth();
+  try {
+    s.scale_net_parasitics("w1", 1e300, 1.0);
+    ADD_FAILURE() << "second 1e300 edit accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("overflows"), std::string::npos) << e.what();
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(s.scale_net_parasitics("w1", inf, 1.0), std::invalid_argument);
+  EXPECT_THROW(s.scale_net_parasitics("w1", 1.0, nan), std::invalid_argument);
+  EXPECT_THROW(s.set_coupling_cap("w1", "w2", inf), std::invalid_argument);
+  EXPECT_THROW(s.set_coupling_cap("w1", "w2", nan), std::invalid_argument);
+  EXPECT_THROW(s.set_arrival_window("in1", Interval{0.0, inf}), std::invalid_argument);
+  EXPECT_THROW(s.set_arrival_window("in1", Interval{-inf, 1e-10}), std::invalid_argument);
+  EXPECT_EQ(s.epoch(), epoch1);
+  EXPECT_EQ(s.undo_depth(), depth1);
+  // The violations query still returns.
+  const noise::Result& r = s.result();
+  EXPECT_EQ(r.nets.size(), s.design().net_count());
+  for (const noise::Violation& v : r.violations) {
+    EXPECT_TRUE(std::isfinite(v.peak));
+  }
 }
 
 TEST(Session, ConstraintGroupIsAtomicOnFailure) {

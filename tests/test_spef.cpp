@@ -96,6 +96,57 @@ TEST(Spef, ParseErrors) {
                std::runtime_error);  // missing *END
 }
 
+/// The error read_spef_string raises on `body` (between header and *END).
+std::string spef_error(const Fixture& f, const std::string& body) {
+  try {
+    (void)read_spef_string("*NWSPEF 1\n" + body + "*END\n", f.design);
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Spef, NonFiniteValuesRejected) {
+  const Fixture f;
+  for (const char* v : {"nan", "inf", "-inf"}) {
+    const std::string err = spef_error(f, std::string("*NET na 2\n*C 0 ") + v + "\n*ENDNET\n");
+    EXPECT_NE(err.find("*C: parse_double: non-finite number"), std::string::npos) << err;
+  }
+}
+
+TEST(Spef, GroundCapOutsidePhysicalRangeRejected) {
+  const Fixture f;
+  // A ground cap of 1.5e308 used to overflow net sums to infinity.
+  EXPECT_NE(spef_error(f, "*NET na 2\n*C 0 1.5e308\n*ENDNET\n").find("*C value"),
+            std::string::npos);
+  EXPECT_NE(spef_error(f, "*NET na 2\n*C 0 -1e-15\n*ENDNET\n").find("outside"),
+            std::string::npos);
+  EXPECT_EQ(spef_error(f, "*NET na 2\n*C 0 1e-9\n*ENDNET\n"), "");  // at the limit
+}
+
+TEST(Spef, ResistanceOutsidePhysicalRangeRejected) {
+  const Fixture f;
+  EXPECT_NE(spef_error(f, "*NET na 2\n*R 0 1 1e300\n*ENDNET\n").find("*R value"),
+            std::string::npos);
+  EXPECT_NE(spef_error(f, "*NET na 2\n*R 0 1 -5\n*ENDNET\n").find("*R value"),
+            std::string::npos);
+}
+
+TEST(Spef, CouplingCapOutsidePhysicalRangeRejected) {
+  const Fixture f;
+  EXPECT_NE(spef_error(f, "*NET na 2\n*ENDNET\n*NET nb 2\n*ENDNET\n"
+                          "*CC na 0 nb 0 1.5e308\n")
+                .find("*CC value"),
+            std::string::npos);
+}
+
+TEST(Spef, NodeCountBeyondLimitRejected) {
+  const Fixture f;
+  // The reader used to add nodes up to whatever count the file claimed.
+  const std::string err = spef_error(f, "*NET na 4294967295\n*ENDNET\n");
+  EXPECT_NE(err.find("*NET node count 4294967295 exceeds"), std::string::npos) << err;
+}
+
 TEST(Spef, ResolvesPortsAndInstancePins) {
   const Fixture f;
   const std::string text =

@@ -51,6 +51,12 @@ TEST(ParseDouble, Invalid) {
   EXPECT_THROW((void)parse_double(""), std::invalid_argument);
 }
 
+TEST(ParseDouble, NonFiniteRejected) {
+  for (const char* s : {"nan", "-nan", "inf", "-inf", "infinity", "1e999"}) {
+    EXPECT_THROW((void)parse_double(s), std::invalid_argument) << s;
+  }
+}
+
 TEST(ParseUint, Valid) {
   EXPECT_EQ(parse_uint("42"), 42ul);
   EXPECT_EQ(parse_uint("0"), 0ul);

@@ -4,6 +4,7 @@
 #include "library/library.hpp"
 #include "netlist/design.hpp"
 #include "noise/analyzer.hpp"
+#include "noise/report_writer.hpp"
 #include "noise/trace.hpp"
 #include "sta/sta.hpp"
 #include "util/units.hpp"
@@ -59,7 +60,7 @@ TEST(Trace, FollowsPropagationChainToOrigin) {
   const Result r = analyze(f.design, p, timing, o);
   ASSERT_GT(r.net(f.m2).total_peak, 0.0);
 
-  const NoiseTrace t = trace_origin(r, f.m2);
+  const NoiseTrace t = trace_origin(f.design, r, f.m2);
   ASSERT_EQ(t.path.size(), 3u);
   EXPECT_EQ(t.path[0].net, f.m2);
   EXPECT_EQ(t.path[1].net, f.m1);
@@ -85,7 +86,7 @@ TEST(Trace, InjectionNetIsItsOwnOrigin) {
   sopt.input_arrivals["vin"] = Interval{0.0, 0.0};
   const auto timing = sta::run(f.design, p, sopt);
   const Result r = analyze(f.design, p, timing, {});
-  const NoiseTrace t = trace_origin(r, f.victim);
+  const NoiseTrace t = trace_origin(f.design, r, f.victim);
   ASSERT_EQ(t.path.size(), 1u);
   EXPECT_EQ(t.path[0].net, f.victim);
   EXPECT_EQ(t.aggressors.size(), 1u);
@@ -108,7 +109,7 @@ TEST(Trace, SingleStepQueryNamesAggressorsInEveryMode) {
     o.mode = mode;
     const Result r = analyze(f.design, p, timing, o);
     ASSERT_GT(r.net(f.victim).total_peak, 0.0) << to_string(mode);
-    const NoiseTrace t = trace_origin(r, f.victim);
+    const NoiseTrace t = trace_origin(f.design, r, f.victim);
     ASSERT_EQ(t.path.size(), 1u) << to_string(mode);
     EXPECT_EQ(t.path.back().net, f.victim) << to_string(mode);
     ASSERT_EQ(t.aggressors.size(), 1u) << to_string(mode);
@@ -133,7 +134,7 @@ TEST(Trace, AggressorsSurviveIncrementalReuse) {
   // m2 has no couplings, so the victim is reused (not re-estimated).
   const NetId changed[] = {f.m2};
   const Result inc = analyze_incremental(f.design, p, timing, o, full, changed);
-  const NoiseTrace t = trace_origin(inc, f.victim);
+  const NoiseTrace t = trace_origin(f.design, inc, f.victim);
   ASSERT_FALSE(t.path.empty());
   ASSERT_EQ(t.aggressors.size(), 1u);
   EXPECT_EQ(t.aggressors[0], f.agg);
@@ -144,11 +145,81 @@ TEST(Trace, QuietNetGivesEmptyTrace) {
   const auto p = f.make_para();
   const auto timing = sta::run(f.design, p, {});
   const Result r = analyze(f.design, p, timing, {});
-  const NoiseTrace t = trace_origin(r, f.agg);  // agg itself sees ~no noise?
+  const NoiseTrace t = trace_origin(f.design, r, f.agg);  // agg itself sees ~no noise?
   // Whether or not agg has noise, a bad id must throw and the empty case
   // must render cleanly.
-  EXPECT_THROW((void)trace_origin(r, NetId{99999}), std::invalid_argument);
+  EXPECT_THROW((void)trace_origin(f.design, r, NetId{99999}), std::invalid_argument);
   (void)trace_string(f.design, t);
+}
+
+/// One weakly held victim between two aggressors that switch together.
+/// `permuted` declares the aggressor nets (and their ports) in the opposite
+/// order, so every aggressor id differs, and inserts the couplings in the
+/// opposite order — what a .nv/.nwspef round trip does to a design.
+struct PairFixture {
+  lib::Library library = lib::default_library();
+  net::Design design{library, "pair"};
+  NetId victim, za, ab;
+
+  explicit PairFixture(bool permuted) {
+    victim = design.add_net("v");
+    const auto add_aggressor = [&](const std::string& name) {
+      const NetId n = design.add_net(name);
+      design.add_input_port(name + "_in", n, {300.0, 15 * PS});
+      design.add_output_port(name + "_out", n);
+      return n;
+    };
+    if (permuted) {
+      ab = add_aggressor("ab");
+      za = add_aggressor("za");
+    } else {
+      za = add_aggressor("za");
+      ab = add_aggressor("ab");
+    }
+    design.add_input_port("vin", victim, {4000.0, 30 * PS});
+    design.add_output_port("out", victim);
+  }
+
+  para::Parasitics make_para(bool permuted) const {
+    para::Parasitics p(design.net_count());
+    for (std::size_t i = 0; i < design.net_count(); ++i) p.net(NetId{i}).add_cap(0, 2 * FF);
+    if (permuted) {
+      p.add_coupling(ab, 0, victim, 0, 50 * FF);
+      p.add_coupling(victim, 0, za, 0, 60 * FF);
+    } else {
+      p.add_coupling(victim, 0, za, 0, 60 * FF);
+      p.add_coupling(ab, 0, victim, 0, 50 * FF);
+    }
+    return p;
+  }
+};
+
+// The trace names in-worst aggressors by net name, not by storage order, so
+// the report and the trace are identical however nets and couplings were
+// numbered.
+TEST(Trace, AggressorOrderIsCanonicalUnderPermutation) {
+  std::string traces[2];
+  std::string reports[2];
+  for (const bool permuted : {false, true}) {
+    const PairFixture f(permuted);
+    const auto p = f.make_para(permuted);
+    sta::Options sopt;
+    sopt.input_arrivals["za_in"] = Interval{100 * PS, 150 * PS};
+    sopt.input_arrivals["ab_in"] = Interval{100 * PS, 150 * PS};
+    sopt.input_arrivals["vin"] = Interval{0.0, 0.0};
+    const auto timing = sta::run(f.design, p, sopt);
+    Options o;
+    o.mode = AnalysisMode::kNoiseWindows;
+    const Result r = analyze(f.design, p, timing, o);
+    const NoiseTrace t = trace_origin(f.design, r, f.victim);
+    ASSERT_EQ(t.aggressors.size(), 2u) << permuted;
+    traces[permuted] = trace_string(f.design, t);
+    reports[permuted] = report_string(f.design, o, r);
+  }
+  EXPECT_NE(traces[0].find("[aggressors: ab za]"), std::string::npos) << traces[0];
+  EXPECT_EQ(traces[0], traces[1]);
+  EXPECT_NE(reports[0].find("[aggressors: ab za]"), std::string::npos) << reports[0];
+  EXPECT_EQ(reports[0], reports[1]);
 }
 
 }  // namespace

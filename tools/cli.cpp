@@ -89,8 +89,6 @@ const char kUsage[] =
     "  --period <s>        clock period in seconds (default 1e-9)\n"
     "  --refine <n>        noise-on-delay refinement passes (default 0)\n"
     "  --threads <n>       analysis threads: 1 = serial (default), 0 = all cores\n"
-    "  --simd <p>          hot-loop kernel path: auto (default) | scalar | vector;\n"
-    "                      results are bit-identical either way\n"
     "  --stats             print per-phase telemetry after the report\n"
     "  --mem-report        print the per-subsystem memory accounting table\n"
     "                      (current/peak bytes and alloc/free counts per\n"
@@ -145,13 +143,6 @@ std::optional<noise::GlitchModel> parse_model(std::string_view s) {
   if (s == "two-pi") return noise::GlitchModel::kTwoPi;
   if (s == "reduced-mna") return noise::GlitchModel::kReducedMna;
   if (s == "mna-exact") return noise::GlitchModel::kMnaExact;
-  return std::nullopt;
-}
-
-std::optional<noise::SimdMode> parse_simd(std::string_view s) {
-  if (s == "auto") return noise::SimdMode::kAuto;
-  if (s == "scalar") return noise::SimdMode::kScalar;
-  if (s == "vector") return noise::SimdMode::kVector;
   return std::nullopt;
 }
 
@@ -240,16 +231,6 @@ std::optional<Args> parse_args(std::span<const std::string> argv, std::ostream& 
       const auto v = need_value();
       if (!v) return std::nullopt;
       a.noise_opt.threads = static_cast<int>(nw::parse_uint(*v));
-    } else if (arg == "--simd") {
-      const auto v = need_value();
-      if (!v) return std::nullopt;
-      const auto m = parse_simd(*v);
-      if (!m) {
-        err << "noisewin: unknown --simd value '" << *v
-            << "' (expected auto | scalar | vector)\n";
-        return std::nullopt;
-      }
-      a.noise_opt.simd = *m;
     } else if (arg == "--stats") {
       a.stats = true;
     } else if (arg == "--mem-report") {
