@@ -5,7 +5,6 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
-#include <deque>
 #include <iterator>
 #include <mutex>
 #include <optional>
@@ -13,7 +12,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "noise/progress.hpp"
+#include "net/serve.hpp"
 #include "obs/log.hpp"
 #include "obs/memtrack.hpp"
 #include "obs/profile.hpp"
@@ -22,6 +21,7 @@
 #include "session/json.hpp"
 #include "session/protocol.hpp"
 #include "session/reqobs.hpp"
+#include "util/strings.hpp"
 
 namespace nw::net {
 
@@ -45,120 +45,6 @@ std::vector<std::string> series_names() {
 /// (~10 s at the 250 ms default) — "p95 lately", not "p95 since boot".
 constexpr std::size_t kLatencyWindows = 40;
 
-bool is_cancel_line(const std::string& line) {
-  if (line.find("cancel") == std::string::npos) return false;  // cheap reject
-  const std::optional<session::Json> req = session::json_parse(line);
-  if (!req || !req->is_object()) return false;
-  const session::Json* cmd = req->find("cmd");
-  return cmd != nullptr && cmd->is_string() && cmd->as_string() == "cancel";
-}
-
-/// Bounded request-line queue between a connection's reader and worker.
-/// `cancel` lines bypass the bound (force) — a client must always be able
-/// to cancel the analysis that is filling its own queue.
-class ConnQueue {
- public:
-  ConnQueue(std::size_t max_queued, std::atomic<std::int64_t>& global_depth,
-            obs::Gauge& depth_gauge)
-      : max_queued_(max_queued), global_depth_(global_depth),
-        depth_gauge_(depth_gauge) {}
-
-  ~ConnQueue() {
-    // Lines still queued at teardown (drain swallowed them) release here.
-    obs::MemTracker::account(obs::MemAccountId::kDaemonQueues).release(charged_);
-  }
-
-  /// False when the queue is full (line left untouched for the reject
-  /// response); `force` bypasses the bound.
-  bool push(std::string& line, bool force) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (closed_) return true;  // draining: swallow silently
-      if (!force && max_queued_ > 0 && lines_.size() >= max_queued_) return false;
-      charge_bytes(line.size());
-      lines_.push_back(std::move(line));
-      bump_depth(+1);
-    }
-    cv_.notify_one();
-    return true;
-  }
-
-  void close() {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      closed_ = true;
-    }
-    cv_.notify_one();
-  }
-
-  /// Blocking pop; false once closed and drained (EOF).
-  bool pop(std::string& line) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [&] { return !lines_.empty() || closed_; });
-    if (lines_.empty()) return false;
-    line = std::move(lines_.front());
-    lines_.pop_front();
-    release_bytes(line.size());
-    bump_depth(-1);
-    return true;
-  }
-
-  /// Remove and return the earliest queued `cancel` request, if any.
-  std::optional<std::string> take_cancel() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (auto it = lines_.begin(); it != lines_.end(); ++it) {
-      if (!is_cancel_line(*it)) continue;
-      std::string line = std::move(*it);
-      lines_.erase(it);
-      release_bytes(line.size());
-      bump_depth(-1);
-      return line;
-    }
-    return std::nullopt;
-  }
-
-  [[nodiscard]] std::size_t depth() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return lines_.size();
-  }
-
- private:
-  void bump_depth(std::int64_t delta) {
-    const std::int64_t now = global_depth_.fetch_add(delta) + delta;
-    depth_gauge_.set(static_cast<double>(now));
-  }
-
-  // Queued-line payload accounting (called under mutex_): the global
-  // "daemon_queues" account aggregates across connections; the per-queue
-  // charged total lets the destructor release exactly what this queue
-  // still holds.
-  void charge_bytes(std::size_t n) {
-    obs::MemTracker::account(obs::MemAccountId::kDaemonQueues).charge(n);
-    charged_ += n;
-  }
-  void release_bytes(std::size_t n) {
-    obs::MemTracker::account(obs::MemAccountId::kDaemonQueues).release(n);
-    charged_ -= n;
-  }
-
-  std::size_t max_queued_;
-  std::atomic<std::int64_t>& global_depth_;
-  obs::Gauge& depth_gauge_;
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<std::string> lines_;
-  std::size_t charged_ = 0;  ///< queued-line bytes currently charged
-  bool closed_ = false;
-};
-
-/// Write one line to a connection under its write mutex (responses,
-/// progress events, and reader-side rejects must never interleave).
-void write_line(std::ostream& out, std::mutex& write_mu, const std::string& line) {
-  const std::lock_guard<std::mutex> lock(write_mu);
-  out << line << '\n';
-  out.flush();
-}
-
 std::string overloaded_response(const session::Json& id, const std::string& message,
                                 int retry_after_ms) {
   session::Json err = session::Json::object();
@@ -172,85 +58,21 @@ std::string overloaded_response(const session::Json& id, const std::string& mess
   return resp.dump();
 }
 
-session::Json request_id_of(const std::string& line) {
-  session::Json id;
-  if (const std::optional<session::Json> req = session::json_parse(line)) {
-    if (req->is_object()) {
-      if (const session::Json* rid = req->find("id")) id = *rid;
-    }
-  }
-  return id;
-}
-
-/// Per-connection progress sink: streams progress events (when enabled)
-/// and intercepts queued `cancel` requests mid-analyze. Runs on the
-/// connection's worker thread only; writes take the connection's write
-/// mutex so reader-side rejects never interleave with an event line.
-class ConnProgress final : public noise::ProgressSink {
- public:
-  ConnProgress(ConnQueue& queue, std::ostream& out, std::mutex& write_mu,
-               bool emit_events)
-      : queue_(queue), out_(out), write_mu_(write_mu), emit_events_(emit_events) {}
-
-  void on_progress(const noise::Progress& p) override {
-    if (!emit_events_) return;
-    session::Json o = session::Json::object();
-    o.set("event", "progress");
-    o.set("phase", p.phase);
-    o.set("iteration", p.iteration);
-    o.set("completed", p.completed);
-    o.set("total", p.total);
-    o.set("level", p.level);
-    o.set("elapsed_ms", p.phase_elapsed_s * 1e3);
-    o.set("eta_ms", p.eta_s * 1e3);
-    write_line(out_, write_mu_, o.dump());
-  }
-
-  bool cancel_requested() override {
-    if (cancelled_) return true;
-    const std::optional<std::string> line = queue_.take_cancel();
-    if (!line) return false;
-    // Answer the cancel out-of-band, echoing its id; the analyzing request
-    // in flight gets its own "cancelled" error response from the protocol.
-    session::Json data = session::Json::object();
-    data.set("cancelled", true);
-    session::Json resp = session::Json::object();
-    resp.set("id", request_id_of(*line));
-    resp.set("ok", true);
-    resp.set("data", std::move(data));
-    write_line(out_, write_mu_, resp.dump());
-    cancelled_ = true;
-    return true;
-  }
-
-  /// Re-arm before each request: a consumed cancel only aborts the
-  /// analysis it was consumed against.
-  void begin_request() { cancelled_ = false; }
-
- private:
-  ConnQueue& queue_;
-  std::ostream& out_;
-  std::mutex& write_mu_;
-  bool emit_events_;
-  bool cancelled_ = false;
-};
-
 }  // namespace
 
-/// One live client connection: socket stream, bounded request queue, and
-/// the reader/worker thread pair. Owned by the accept thread (conns_).
+/// One live client connection: socket stream, its serving loop (bounded
+/// request queue + reader helper), and the worker thread that runs it.
+/// Owned by the accept thread (conns_).
 struct Daemon::Connection {
   Connection(std::uint64_t cid, int fd, int recv_timeout_ms, std::size_t max_queued,
              std::atomic<std::int64_t>& global_depth, obs::Gauge& depth_gauge)
       : id(cid),
         stream(fd, recv_timeout_ms),
-        queue(max_queued, global_depth, depth_gauge) {}
+        server(stream, stream, max_queued, &global_depth, &depth_gauge) {}
 
   std::uint64_t id;
   SocketStream stream;
-  std::mutex write_mu;
-  ConnQueue queue;
-  std::thread reader;
+  StreamServer server;
   std::thread worker;
   std::atomic<bool> done{false};
 
@@ -364,7 +186,6 @@ void Daemon::accept_loop() {
                                              queue_depth_g_);
     Connection* c = conn.get();
     c->worker = std::thread([this, c] { serve_connection(*c); });
-    c->reader = std::thread([this, c] { reader_loop(*c); });
     conns_.push_back(std::move(conn));
   }
   // Drain: stop listening (unlinks a unix socket), wake every blocked
@@ -374,35 +195,6 @@ void Daemon::accept_loop() {
   reap_finished(/*join_all=*/true);
   // Sampler stops last so the drain itself lands in the timeseries.
   if (sampler_) sampler_->stop();
-}
-
-void Daemon::reader_loop(Connection& conn) {
-  obs::Tracer::set_thread_name("conn-" + std::to_string(conn.id) + "-rx");
-  obs::set_log_connection(conn.id);
-  std::string line;
-  while (std::getline(conn.stream, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();  // CRLF clients
-    if (line.empty()) continue;  // blank keep-alives get no response
-    const bool force = is_cancel_line(line);
-    if (!conn.queue.push(line, force)) {
-      // Queue full: shed here, on the reader, so a client flooding its own
-      // queue gets immediate structured backpressure while the worker keeps
-      // serving what was admitted.
-      queue_rejected_.add();
-      shed_.add();
-      const std::size_t depth = conn.queue.depth();
-      const int retry = static_cast<int>(std::max(
-          1.0, std::ceil(governor_.ewma_ms() * static_cast<double>(depth + 1))));
-      write_line(conn.stream, conn.write_mu,
-                 overloaded_response(
-                     request_id_of(line),
-                     "request queue full (" + std::to_string(depth) + " queued, cap " +
-                         std::to_string(cfg_.max_queued) + ")",
-                     retry));
-    }
-  }
-  if (conn.stream.timed_out()) idle_closed_.add();
-  conn.queue.close();
 }
 
 void Daemon::serve_connection(Connection& conn) {
@@ -444,25 +236,27 @@ void Daemon::serve_connection(Connection& conn) {
     proto.set_watch_handler([this, &conn](const session::Json& args) {
       return watch_command(conn, args);
     });
-    // Sink always installed: cancel interception must work even with
-    // progress events off (results are sink-invariant, tested property).
-    ConnProgress progress(conn.queue, conn.stream, conn.write_mu,
-                          cfg_.progress_events);
-    session.set_progress_sink(&progress);
-    std::string line;
-    while (conn.queue.pop(line)) {
-      progress.begin_request();
-      const std::string response = proto.handle_line(line);
-      write_line(conn.stream, conn.write_mu, response);
-      handled_.add();
-    }
-    session.set_progress_sink(nullptr);
+    conn.server.serve(
+        session, proto, cfg_.progress_events,
+        [this](const session::Json& id, std::size_t depth) {
+          queue_rejected_.add();
+          shed_.add();
+          const int retry = static_cast<int>(std::max(
+              1.0, std::ceil(governor_.ewma_ms() * static_cast<double>(depth + 1))));
+          return overloaded_response(id,
+                                     "request queue full (" + std::to_string(depth) +
+                                         " queued, cap " +
+                                         std::to_string(cfg_.max_queued) + ")",
+                                     retry);
+        },
+        &handled_);
+    if (conn.stream.timed_out()) idle_closed_.add();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "noisewin daemon: connection %llu failed: %s\n",
                  static_cast<unsigned long long>(conn.id), e.what());
   }
   // Teardown order: stop any watch streamer first (it writes to the
-  // stream), then wake the reader if the worker died early.
+  // stream), then close both directions so the peer sees EOF now.
   stop_watch(conn);
   conn.stream.shutdown_both();
   active_g_.set(static_cast<double>(active_.fetch_sub(1) - 1));
@@ -476,7 +270,6 @@ void Daemon::reap_finished(bool join_all) {
       ++it;
       continue;
     }
-    if (c.reader.joinable()) c.reader.join();
     if (c.worker.joinable()) c.worker.join();
     it = conns_.erase(it);
   }
@@ -597,10 +390,10 @@ session::Json Daemon::stats_sections(const session::Json& args) {
   // ring bound; 0 = just the section metadata).
   std::size_t samples = 60;
   if (const session::Json* n = args.find("samples")) {
-    if (!n->is_number() || n->as_number() < 0) {
-      throw std::invalid_argument("'samples' must be a non-negative number");
-    }
-    samples = static_cast<std::size_t>(n->as_number());
+    const std::optional<std::size_t> count =
+        n->is_number() ? nw::to_count(n->as_number()) : std::nullopt;
+    if (!count) throw std::invalid_argument("'samples' must be a non-negative integer");
+    samples = *count;
   }
   samples = std::min(samples, ring_.capacity());
   session::Json o = session::Json::object();
@@ -715,7 +508,7 @@ void Daemon::watch_loop(Connection& conn) {
                        std::chrono::steady_clock::now() - start_tp_)
                        .count());
     ev.set("daemon", live_json());
-    write_line(conn.stream, conn.write_mu, ev.dump());
+    conn.server.write_line(ev.dump());
     const bool dead = !conn.stream;  // peer gone: stop streaming quietly
     lock.lock();
     if (dead) return;

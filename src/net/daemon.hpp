@@ -4,10 +4,12 @@
 // Threading model (one line per connection in a trace):
 //   accept thread        poll-accept loop; reaps finished connections;
 //                        owns drain (SIGTERM / `shutdown` command)
-//   per-conn reader      getline → bounded request queue; full queue sheds
-//                        with `overloaded` (cancel lines bypass the bound)
 //   per-conn worker      Session (COW overlay over the shared base) +
-//                        Protocol; pops the queue, writes responses
+//                        Protocol, served by StreamServer (net/serve.hpp):
+//                        pops the queue, writes responses
+//   per-conn reader      StreamServer's helper: getline → bounded request
+//                        queue; full queue sheds with `overloaded` (cancel
+//                        lines bypass the bound)
 //   sampler thread       fixed-interval telemetry (obs/timeseries.hpp):
 //                        reads daemon gauges into the bounded ring, rotates
 //                        the analyze-latency window, emits trace counters
@@ -135,7 +137,6 @@ class Daemon {
   struct Connection;
 
   void accept_loop();
-  void reader_loop(Connection& conn);
   void serve_connection(Connection& conn);
   void reap_finished(bool join_all);
   void reject_connection(int fd);

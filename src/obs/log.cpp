@@ -30,7 +30,7 @@ void append_wall_clock(std::string& out) {
   std::tm tm{};
   const std::time_t secs = ts.tv_sec;
   localtime_r(&secs, &tm);
-  char buf[24];
+  char buf[64];  // room for any int/long the format could see, not just clock values
   std::snprintf(buf, sizeof(buf), "[%02d:%02d:%02d.%03ld] ", tm.tm_hour,
                 tm.tm_min, tm.tm_sec, ts.tv_nsec / 1000000);
   out += buf;

@@ -49,7 +49,9 @@ enum class MemAccountId : unsigned {
   kSessionCache,     ///< session LRU: retained Results + STA per slot
   kUndoJournal,      ///< session undo journal entries + captured state
   kTraceBuffers,     ///< tracer event buffers + profiler folded aggregate
-  kDaemonQueues,     ///< daemon per-connection request-line queues
+  kDaemonQueues,     ///< request-line queues of every served conversation
+                     ///< (daemon connections and stdio `serve`; the
+                     ///< "daemon_queues" name stays for the stats schema)
   kCount,
 };
 

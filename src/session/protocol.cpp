@@ -11,6 +11,7 @@
 #include "noise/trace.hpp"
 #include "obs/profile.hpp"
 #include "obs/tracer.hpp"
+#include "util/strings.hpp"
 
 namespace nw::session {
 
@@ -86,11 +87,10 @@ std::size_t arg_limit(const Json& args, std::size_t fallback) {
   if (!args.is_object()) return fallback;
   const Json* v = args.find("limit");
   if (v == nullptr) return fallback;
-  if (!v->is_number() || v->as_number() < 0 ||
-      v->as_number() != std::floor(v->as_number())) {
-    bad_args("'limit' must be a non-negative integer");
-  }
-  return static_cast<std::size_t>(v->as_number());
+  const std::optional<std::size_t> n =
+      v->is_number() ? nw::to_count(v->as_number()) : std::nullopt;
+  if (!n) bad_args("'limit' must be a non-negative integer");
+  return *n;
 }
 
 Json interval_json(const Interval& iv) {
@@ -254,7 +254,7 @@ Json Protocol::dispatch(const std::string& cmd, const Json& args) {
     Json o = Json::object();
     if (action == "start") {
       int hz = 97;
-      if (const Json* v = require_object(args).find("hz")) {
+      if (require_object(args).find("hz") != nullptr) {
         const double n = arg_number(args, "hz");
         if (n < 1.0 || n > obs::Profiler::kMaxHz || n != std::floor(n)) {
           bad_args("'hz' must be an integer in [1, " +

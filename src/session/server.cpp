@@ -1,179 +1,19 @@
 #include "session/server.hpp"
 
-#include <condition_variable>
 #include <cstdio>
-#include <deque>
 #include <istream>
-#include <mutex>
 #include <optional>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "noise/progress.hpp"
 #include "noise/report_writer.hpp"
 #include "noise/trace.hpp"
-#include "session/protocol.hpp"
+#include "util/strings.hpp"
 
 namespace nw::session {
-
-namespace {
-
-/// Request-line queue between the reader thread and the serving thread
-/// (progress mode only). The progress sink scans it for `cancel` requests
-/// from checkpoint callbacks while an analysis holds the serving thread.
-class LineQueue {
- public:
-  void push(std::string line) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      lines_.push_back(std::move(line));
-    }
-    cv_.notify_one();
-  }
-
-  void close() {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      closed_ = true;
-    }
-    cv_.notify_one();
-  }
-
-  /// Blocking pop; false once closed and drained (EOF).
-  bool pop(std::string& line) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [&] { return !lines_.empty() || closed_; });
-    if (lines_.empty()) return false;
-    line = std::move(lines_.front());
-    lines_.pop_front();
-    return true;
-  }
-
-  /// Remove and return the earliest queued `cancel` request, if any.
-  std::optional<std::string> take_cancel() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (auto it = lines_.begin(); it != lines_.end(); ++it) {
-      if (!is_cancel(*it)) continue;
-      std::string line = std::move(*it);
-      lines_.erase(it);
-      return line;
-    }
-    return std::nullopt;
-  }
-
- private:
-  static bool is_cancel(const std::string& line) {
-    if (line.find("cancel") == std::string::npos) return false;  // cheap reject
-    const std::optional<Json> req = json_parse(line);
-    if (!req || !req->is_object()) return false;
-    const Json* cmd = req->find("cmd");
-    return cmd != nullptr && cmd->is_string() && cmd->as_string() == "cancel";
-  }
-
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<std::string> lines_;
-  bool closed_ = false;
-};
-
-/// Progress sink for serve(): emits event lines and intercepts queued
-/// `cancel` requests. All writes happen on the serving thread (checkpoints
-/// are called from inside the analysis it runs), so event, out-of-band
-/// cancel response, and regular response lines never interleave mid-line.
-class ServerProgress final : public noise::ProgressSink {
- public:
-  ServerProgress(LineQueue& queue, std::ostream& out) : queue_(queue), out_(out) {}
-
-  void on_progress(const noise::Progress& p) override {
-    Json o = Json::object();
-    o.set("event", "progress");
-    o.set("phase", p.phase);
-    o.set("iteration", p.iteration);
-    o.set("completed", p.completed);
-    o.set("total", p.total);
-    o.set("level", p.level);
-    o.set("elapsed_ms", p.phase_elapsed_s * 1e3);
-    o.set("eta_ms", p.eta_s * 1e3);
-    out_ << o.dump() << '\n';
-    out_.flush();
-  }
-
-  bool cancel_requested() override {
-    if (cancelled_) return true;
-    const std::optional<std::string> line = queue_.take_cancel();
-    if (!line) return false;
-    // Answer the cancel out-of-band, echoing its id; the analyzing request
-    // in flight gets its own "cancelled" error response from the protocol.
-    Json id;
-    if (const std::optional<Json> req = json_parse(*line)) {
-      if (const Json* rid = req->find("id")) id = *rid;
-    }
-    Json data = Json::object();
-    data.set("cancelled", true);
-    Json resp = Json::object();
-    resp.set("id", std::move(id));
-    resp.set("ok", true);
-    resp.set("data", std::move(data));
-    out_ << resp.dump() << '\n';
-    out_.flush();
-    cancelled_ = true;
-    return true;
-  }
-
-  /// Re-arm before each request: a consumed cancel only aborts the
-  /// analysis in flight when it was consumed, not every later one.
-  void begin_request() { cancelled_ = false; }
-
- private:
-  LineQueue& queue_;
-  std::ostream& out_;
-  bool cancelled_ = false;
-};
-
-}  // namespace
-
-std::size_t serve(Session& session, std::istream& in, std::ostream& out,
-                  RequestContext* reqobs, ServeOptions options) {
-  Protocol proto(session, reqobs);
-  std::size_t handled = 0;
-  if (!options.progress) {
-    std::string line;
-    while (std::getline(in, line)) {
-      if (!line.empty() && line.back() == '\r') line.pop_back();  // CRLF clients
-      if (line.empty()) continue;  // blank keep-alives get no response
-      out << proto.handle_line(line) << '\n';
-      out.flush();
-      ++handled;
-    }
-    return handled;
-  }
-
-  LineQueue queue;
-  std::thread reader([&in, &queue] {
-    std::string line;
-    while (std::getline(in, line)) {
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty()) continue;
-      queue.push(std::move(line));
-    }
-    queue.close();
-  });
-  ServerProgress progress(queue, out);
-  session.set_progress_sink(&progress);
-  std::string line;
-  while (queue.pop(line)) {
-    progress.begin_request();
-    out << proto.handle_line(line) << '\n';
-    out.flush();
-    ++handled;
-  }
-  session.set_progress_sink(nullptr);
-  reader.join();
-  return handled;
-}
 
 namespace {
 
@@ -205,20 +45,15 @@ std::vector<std::string> tokenize(const std::string& line) {
 
 double num_arg(const std::vector<std::string>& toks, std::size_t i) {
   if (i >= toks.size()) throw std::invalid_argument("missing numeric argument");
-  std::size_t used = 0;
-  const double v = std::stod(toks[i], &used);
-  if (used != toks[i].size()) {
-    throw std::invalid_argument("bad number '" + toks[i] + "'");
-  }
-  return v;
+  return nw::parse_double(toks[i]);  // refuses junk, nan and inf
 }
 
 std::size_t count_arg(const std::vector<std::string>& toks, std::size_t i,
                       std::size_t fallback) {
   if (i >= toks.size()) return fallback;
-  const double v = num_arg(toks, i);
-  if (v < 0) throw std::invalid_argument("count must be non-negative");
-  return static_cast<std::size_t>(v);
+  const std::optional<std::size_t> n = nw::to_count(num_arg(toks, i));
+  if (!n) throw std::invalid_argument("count must be a non-negative integer");
+  return *n;
 }
 
 const std::string& str_arg(const std::vector<std::string>& toks, std::size_t i,

@@ -1,40 +1,17 @@
-// Session transports: the JSONL server loop and the human shell REPL.
+// The human shell: a line-oriented REPL over a Session.
 //
-// Both run a Session to exhaustion of an input stream — `serve` speaks the
-// machine protocol (session/protocol.hpp) for clients like
-// tools/nwclient.py; `shell` is a line-oriented REPL for a person poking
-// at a design. Neither owns the session: the caller builds it (and can
-// export its metrics afterwards — per-session counters accumulate across
-// the whole conversation).
+// The machine protocol (session/protocol.hpp) is served over stdio and
+// sockets by one loop, net::StreamServer (net/serve.hpp); `shell` is the
+// REPL for a person poking at a design. It does not own the session: the
+// caller builds it (and can export its metrics afterwards — per-session
+// counters accumulate across the whole conversation).
 #pragma once
 
 #include <iosfwd>
 
-#include "session/reqobs.hpp"
 #include "session/session.hpp"
 
 namespace nw::session {
-
-struct ServeOptions {
-  /// Stream {"event":"progress",...} notification lines interleaved with
-  /// responses while an analysis runs, and accept a mid-analyze `cancel`
-  /// request (answered out-of-band with {"cancelled":true}; the in-flight
-  /// analyzing request then fails with error code "cancelled" and the
-  /// session keeps its pre-analyze state). Off by default: responses stay
-  /// strictly one-per-request-line and input is read synchronously.
-  bool progress = false;
-};
-
-/// Read JSONL requests from `in` until EOF, writing exactly one JSON
-/// response line per input line to `out` (flushed per line, so a pipe
-/// client can converse synchronously). Returns the number of requests.
-/// With a RequestContext every command gets a request id, a trace span, a
-/// latency-histogram sample, and slow-log coverage (see session/reqobs.hpp).
-/// With options.progress, a reader thread decouples input from request
-/// handling so `cancel` can be seen while an analysis is in flight;
-/// clients must then skip "event" lines when matching responses.
-std::size_t serve(Session& session, std::istream& in, std::ostream& out,
-                  RequestContext* reqobs = nullptr, ServeOptions options = {});
 
 /// Interactive REPL: whitespace-tokenized commands, human-readable
 /// answers, `help` for the command list, `quit` (or EOF) to leave.

@@ -9,6 +9,7 @@
 #include "obs/memtrack.hpp"
 #include "obs/resource.hpp"
 #include "obs/tracer.hpp"
+#include "parasitics/spef.hpp"
 
 namespace nw::session {
 
@@ -228,18 +229,20 @@ void Session::scale_net_parasitics(const std::string& net, double cap_factor,
         res_factor > 0.0)) {
     throw std::invalid_argument("scale_net_parasitics: factors must be finite and positive");
   }
-  // Refuse an edit whose scaled values (or their net totals) overflow: an
-  // infinite cap or resistance would reach the analysis kernels.
+  // An edit answers to the .nwspef reader's physical limits: a value past
+  // them is no ECO but corrupt input, and it can overflow downstream sums.
   const para::RcNet& rc = parasitics().net(id);
-  double cap_total = 0.0;
   for (std::uint32_t n = 0; n < rc.node_count(); ++n) {
-    cap_total += rc.node(n).cground * cap_factor;
+    if (rc.node(n).cground * cap_factor > para::kMaxSpefCapacitance) {
+      throw std::invalid_argument("scale_net_parasitics: scaling '" + net +
+                                  "' puts a node cap above the 1 nF limit");
+    }
   }
-  double res_total = 0.0;
-  for (const para::RcRes& r : rc.resistors()) res_total += r.r * res_factor;
-  if (!std::isfinite(cap_total) || !std::isfinite(res_total)) {
-    throw std::invalid_argument("scale_net_parasitics: scaling '" + net +
-                                "' overflows its capacitance or resistance");
+  for (const para::RcRes& r : rc.resistors()) {
+    if (r.r * res_factor > para::kMaxSpefResistance) {
+      throw std::invalid_argument("scale_net_parasitics: scaling '" + net +
+                                  "' puts a resistor above the 1 GOhm limit");
+    }
   }
   para::RcNet saved = parasitics().net(id);  // capture before mutating (bit-exact undo)
   mut_para().net(id).scale(cap_factor, res_factor);
@@ -260,6 +263,10 @@ void Session::set_coupling_cap(const std::string& net_a, const std::string& net_
   }
   if (!(std::isfinite(cap) && cap > 0.0)) {
     throw std::invalid_argument("set_coupling_cap: capacitance must be finite and positive");
+  }
+  if (cap > para::kMaxSpefCapacitance) {
+    throw std::invalid_argument("set_coupling_cap: coupling between '" + net_a +
+                                "' and '" + net_b + "' would exceed the 1 nF limit");
   }
   std::vector<std::pair<std::size_t, double>> existing;  // (index, old value)
   for (const std::size_t ci : parasitics().couplings_of(a)) {

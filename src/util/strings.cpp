@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace nw {
@@ -54,6 +55,15 @@ unsigned long parse_uint(std::string_view s) {
     throw std::invalid_argument("parse_uint: bad integer '" + std::string(s) + "'");
   }
   return v;
+}
+
+std::optional<std::size_t> to_count(double v) noexcept {
+  if (!std::isfinite(v) || v < 0.0 || v != std::floor(v)) return std::nullopt;
+  // 2^digits is the first double past size_t; the cast is defined below it.
+  if (v >= std::ldexp(1.0, std::numeric_limits<std::size_t>::digits)) {
+    return std::numeric_limits<std::size_t>::max();
+  }
+  return static_cast<std::size_t>(v);
 }
 
 }  // namespace nw

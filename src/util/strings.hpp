@@ -1,6 +1,8 @@
 // Minimal string utilities for the SPEF-like and liberty-lite parsers.
 #pragma once
 
+#include <cstddef>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -23,5 +25,11 @@ namespace nw {
 
 /// Parse a non-negative integer; throws std::invalid_argument on failure.
 [[nodiscard]] unsigned long parse_uint(std::string_view s);
+
+/// A count argument (a result limit, a sample count) given as a number:
+/// nullopt unless `v` is a non-negative integer. Values past size_t
+/// saturate (every count caps a collection size), so nothing is cast out
+/// of range.
+[[nodiscard]] std::optional<std::size_t> to_count(double v) noexcept;
 
 }  // namespace nw

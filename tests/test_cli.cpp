@@ -400,6 +400,37 @@ TEST(Cli, ShellSubcommandRunsCommands) {
   EXPECT_NE(out.str().find("unknown command 'bogus_command'"), std::string::npos);
 }
 
+TEST(Cli, ShellCountsClampAndRefuseNonFiniteValues) {
+  std::istringstream in(
+      "slack 1e19\n"
+      "slack 1e20\n"
+      "slack inf\n"
+      "slack nan\n"
+      "slack 2.5\n"
+      "quit\n");
+  std::ostringstream out, err;
+  const int rc = cli::run_cli(std::vector<std::string>{"shell", "--demo", "bus"}, in,
+                              out, err);
+  EXPECT_EQ(rc, 0) << err.str();
+  // One segment per command, each starting right after its prompt.
+  std::vector<std::string> answers;
+  const std::string text = out.str();
+  const std::string prompt = "noisewin> ";
+  for (std::size_t at = text.find(prompt); at != std::string::npos;) {
+    const std::size_t begin = at + prompt.size();
+    at = text.find(prompt, begin);
+    answers.push_back(text.substr(begin, at == std::string::npos ? at : at - begin));
+  }
+  ASSERT_GE(answers.size(), 5u) << text;
+  // Past size_t clamps to every endpoint instead of wrapping to none.
+  EXPECT_NE(answers[0].find("(net "), std::string::npos) << answers[0];
+  EXPECT_EQ(answers[1], answers[0]);
+  for (std::size_t i = 2; i < 5; ++i) {
+    EXPECT_EQ(answers[i].rfind("error: ", 0), 0u) << answers[i];
+    EXPECT_EQ(answers[i].find("(net "), std::string::npos) << answers[i];
+  }
+}
+
 TEST(Cli, UnknownSubcommandFails) {
   std::string err;
   EXPECT_EQ(run({"listen", "--demo", "bus"}, nullptr, &err), 1);

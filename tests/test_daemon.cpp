@@ -9,6 +9,7 @@
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "library/library.hpp"
 #include "net/daemon.hpp"
 #include "net/governor.hpp"
+#include "net/serve.hpp"
 #include "net/socket.hpp"
 #include "session/json.hpp"
 #include "session/protocol.hpp"
@@ -332,17 +334,23 @@ TEST(Daemon, EightConcurrentClientsBitIdenticalToStdioServe) {
   }
   d.stop();
 
-  // Reference: the same scenarios through a bare Protocol on a private
-  // value-owned Session — the stdio `serve` data path.
+  // Reference: the same scenarios through the stdio `serve` entry on a
+  // private value-owned Session.
   for (int k = 0; k < kClients; ++k) {
     gen::Generated g = gen::make_bus(library(), bus_config());
     session::Session ref(std::move(g.design), std::move(g.para), session_config(g));
     session::Protocol proto(ref);
-    const std::vector<std::string> lines = scenario(k);
-    ASSERT_EQ(got[k].size(), lines.size()) << "client " << k;
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-      EXPECT_EQ(got[k][i], proto.handle_line(lines[i]))
-          << "client " << k << " line " << i;
+    std::string script;
+    for (const std::string& line : scenario(k)) script += line + "\n";
+    std::istringstream in(script);
+    std::ostringstream out;
+    ASSERT_EQ(StreamServer(in, out).serve(ref, proto, false), scenario(k).size());
+    std::vector<std::string> want;
+    std::istringstream split(out.str());
+    for (std::string line; std::getline(split, line);) want.push_back(line);
+    ASSERT_EQ(got[k].size(), want.size()) << "client " << k;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[k][i], want[i]) << "client " << k << " line " << i;
     }
   }
   EXPECT_EQ(d.connections_accepted(), static_cast<std::uint64_t>(kClients));

@@ -4,19 +4,22 @@
 // pre-analyze state bit-exactly after a cancelled run.
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "gen/bus.hpp"
+#include "net/serve.hpp"
 #include "noise/analyzer.hpp"
 #include "noise/progress.hpp"
 #include "session/json.hpp"
 #include "session/protocol.hpp"
-#include "session/server.hpp"
 #include "session/session.hpp"
 #include "sta/sta.hpp"
 #include "util/units.hpp"
@@ -186,9 +189,9 @@ TEST(Progress, ServeWithProgressInterleavesEventsBeforeTheResponse) {
 
   std::istringstream in("{\"id\":1,\"cmd\":\"violations\"}\n");
   std::ostringstream out;
-  session::ServeOptions opt;
-  opt.progress = true;
-  const std::size_t handled = session::serve(s, in, out, nullptr, opt);
+  session::Protocol p(s);
+  const std::size_t handled =
+      net::StreamServer(in, out).serve(s, p, /*progress_events=*/true);
   EXPECT_EQ(handled, 1u);
 
   std::vector<std::string> lines;
@@ -204,6 +207,95 @@ TEST(Progress, ServeWithProgressInterleavesEventsBeforeTheResponse) {
   EXPECT_NE(lines.back().find("\"id\":1"), std::string::npos) << lines.back();
   EXPECT_NE(lines.back().find("\"ok\":true"), std::string::npos) << lines.back();
   EXPECT_EQ(lines.back().find("\"event\""), std::string::npos) << lines.back();
+}
+
+/// Serves every input line at once, then reports when the reader comes
+/// back for more — by then each line it read is queued.
+class DrainSignalBuf final : public std::streambuf {
+ public:
+  explicit DrainSignalBuf(std::string text) : text_(std::move(text)) {}
+
+  void wait_drained() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return drained_; });
+  }
+
+ protected:
+  int_type underflow() override {
+    if (!served_) {
+      served_ = true;
+      setg(text_.data(), text_.data(), text_.data() + text_.size());
+      return traits_type::to_int_type(*gptr());
+    }
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      drained_ = true;
+    }
+    cv_.notify_all();
+    return traits_type::eof();
+  }
+
+ private:
+  std::string text_;
+  bool served_ = false;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool drained_ = false;
+};
+
+/// Admits every analysis, but only once the input is drained: the
+/// pipelined `cancel` is then queued before the analysis's first
+/// checkpoint, whatever the thread timing.
+class AfterDrainGate final : public session::AnalysisGate {
+ public:
+  explicit AfterDrainGate(DrainSignalBuf& in) : in_(in) {}
+  Ticket admit(const std::string&) override {
+    in_.wait_drained();
+    return {};
+  }
+  void release(double) override {}
+
+ private:
+  DrainSignalBuf& in_;
+};
+
+TEST(Progress, ServeWithoutProgressEventsStillCancelsMidAnalyze) {
+  const lib::Library library = lib::default_library();
+  gen::Generated g = bus_case(library);
+  session::SessionConfig sc;
+  sc.sta = g.sta_options;
+  sc.noise.clock_period = g.sta_options.clock_period;
+  session::Session s(std::move(g.design), std::move(g.para), std::move(sc));
+
+  DrainSignalBuf buf(
+      "{\"id\":1,\"cmd\":\"violations\"}\n"
+      "{\"id\":2,\"cmd\":\"cancel\"}\n");
+  std::istream in(&buf);
+  std::ostringstream out;
+  session::Protocol p(s);
+  AfterDrainGate gate(buf);
+  p.set_gate(&gate);
+  const std::size_t handled =
+      net::StreamServer(in, out).serve(s, p, /*progress_events=*/false);
+  EXPECT_EQ(handled, 1u);  // the cancel is answered out-of-band
+
+  std::vector<std::string> lines;
+  std::istringstream split(out.str());
+  for (std::string line; std::getline(split, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 2u) << out.str();
+  // No events without --progress: the ack, then the cancelled request.
+  const auto ack = session::json_parse(lines[0]);
+  ASSERT_TRUE(ack.has_value()) << lines[0];
+  EXPECT_EQ(ack->find("id")->as_number(), 2.0) << lines[0];
+  EXPECT_TRUE(ack->find("data")->find("cancelled")->as_bool()) << lines[0];
+  const auto resp = session::json_parse(lines[1]);
+  ASSERT_TRUE(resp.has_value()) << lines[1];
+  EXPECT_EQ(resp->find("id")->as_number(), 1.0) << lines[1];
+  EXPECT_FALSE(resp->find("ok")->as_bool()) << lines[1];
+  EXPECT_EQ(resp->find("error")->find("code")->as_string(), "cancelled") << lines[1];
+  // The session kept its pre-analyze state.
+  EXPECT_EQ(s.epoch(), 0u);
+  EXPECT_EQ(s.analyses(), 0u);
 }
 
 }  // namespace

@@ -9,9 +9,9 @@
 #include <vector>
 
 #include "gen/bus.hpp"
+#include "net/serve.hpp"
 #include "session/json.hpp"
 #include "session/protocol.hpp"
-#include "session/server.hpp"
 #include "session/session.hpp"
 
 namespace nw::session {
@@ -95,6 +95,20 @@ TEST(Protocol, MalformedLinesGetStructuredErrors) {
   }
 }
 
+TEST(Protocol, LimitsPastTheCollectionSizeClamp) {
+  Session s = make_session();
+  Protocol p(s);
+  const std::size_t endpoints = s.endpoint_slacks().size();
+  ASSERT_GT(endpoints, 0u);
+  // 1e20 is past size_t: it must clamp to "everything", never wrap to 0.
+  for (const char* limit : {"1e19", "1e20", "1e300"}) {
+    const Json resp = parse_response(p.handle_line(
+        std::string("{\"cmd\":\"slack\",\"args\":{\"limit\":") + limit + "}}"));
+    ASSERT_TRUE(resp.find("ok")->as_bool()) << limit;
+    EXPECT_EQ(resp.find("data")->find("endpoints")->items().size(), endpoints) << limit;
+  }
+}
+
 TEST(Protocol, TruncatedRequestsNeverCrash) {
   Session s = make_session();
   Protocol p(s);
@@ -160,7 +174,8 @@ TEST(Protocol, ServeEmitsExactlyOneResponsePerLine) {
       "{\"id\":3,\"cmd\":\"undo\"}\r\n"      // CRLF client
       "[1,2]\n");
   std::ostringstream out;
-  const std::size_t handled = serve(s, in, out);
+  Protocol p(s);
+  const std::size_t handled = net::StreamServer(in, out).serve(s, p, false);
   EXPECT_EQ(handled, 7u);
 
   std::istringstream lines(out.str());

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -256,20 +257,26 @@ TEST(Session, FailedEditsLeaveStateUntouched) {
   expect_bit_identical(s.result(), snapshot);
 }
 
-// Two cap_factor 1e300 edits used to overflow a ground cap to infinity
-// and hang the next analysis; the overflowing edit is now refused before
-// anything mutates, and non-finite arguments are refused outright.
+// Edits answer to the .nwspef reader's physical limits (1 nF per cap,
+// 1 GOhm per resistor): a 1e300 factor would otherwise reach the kernels
+// and push noise windows to absurd times. Refusal happens before anything
+// mutates; non-finite arguments are refused outright.
 TEST(Session, OverflowingAndNonFiniteEditsAreRefused) {
   Session s = make_session();
-  s.scale_net_parasitics("w1", 1e300, 1.0);  // large but finite: accepted
-  const std::uint64_t epoch1 = s.epoch();
-  const std::size_t depth1 = s.undo_depth();
-  try {
-    s.scale_net_parasitics("w1", 1e300, 1.0);
-    ADD_FAILURE() << "second 1e300 edit accepted";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("overflows"), std::string::npos) << e.what();
-  }
+  const std::uint64_t epoch0 = s.epoch();
+  const std::size_t depth0 = s.undo_depth();
+  const auto refused = [&](const std::function<void()>& edit, const char* limit) {
+    try {
+      edit();
+      ADD_FAILURE() << "edit past the " << limit << " limit accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(limit), std::string::npos) << e.what();
+    }
+  };
+  refused([&] { s.scale_net_parasitics("w1", 1e300, 1.0); }, "1 nF");
+  refused([&] { s.scale_net_parasitics("w1", 1.0, 1e300); }, "1 GOhm");
+  refused([&] { s.set_coupling_cap("w1", "w2", 1e300); }, "1 nF");
+  refused([&] { s.set_coupling_cap("w1", "w2", 2e-9); }, "1 nF");
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(s.scale_net_parasitics("w1", inf, 1.0), std::invalid_argument);
@@ -278,8 +285,8 @@ TEST(Session, OverflowingAndNonFiniteEditsAreRefused) {
   EXPECT_THROW(s.set_coupling_cap("w1", "w2", nan), std::invalid_argument);
   EXPECT_THROW(s.set_arrival_window("in1", Interval{0.0, inf}), std::invalid_argument);
   EXPECT_THROW(s.set_arrival_window("in1", Interval{-inf, 1e-10}), std::invalid_argument);
-  EXPECT_EQ(s.epoch(), epoch1);
-  EXPECT_EQ(s.undo_depth(), depth1);
+  EXPECT_EQ(s.epoch(), epoch0);
+  EXPECT_EQ(s.undo_depth(), depth0);
   // The violations query still returns.
   const noise::Result& r = s.result();
   EXPECT_EQ(r.nets.size(), s.design().net_count());
@@ -356,7 +363,9 @@ TEST(Session, TraceAndRequireValidation) {
   EXPECT_THROW((void)s.trace(NetId{999999}), NotFound);
   const NetId w1 = s.require_net("w1");
   const noise::NoiseTrace tr = s.trace(w1);  // well-formed for any net
-  if (!tr.path.empty()) EXPECT_EQ(tr.path.front().net, w1);
+  if (!tr.path.empty()) {
+    EXPECT_EQ(tr.path.front().net, w1);
+  }
 }
 
 TEST(Session, ResourceGaugesTrackCacheAndJournal) {

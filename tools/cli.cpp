@@ -31,6 +31,7 @@
 #include "obs/timeseries.hpp"
 #include "obs/tracer.hpp"
 #include "net/daemon.hpp"
+#include "net/serve.hpp"
 #include "net/socket.hpp"
 #include "parasitics/spef.hpp"
 #include "session/server.hpp"
@@ -70,7 +71,7 @@ struct Args {
   bool have_mode = false;
   bool stats = false;
   bool mem_report = false;  ///< --mem-report: per-account memory table
-  bool progress = false;  ///< --progress: stderr meter / serve event lines
+  bool progress = false;  ///< --progress: stderr meter / serve+daemon event lines
   int verbose = 0;  ///< --verbose count: 1 = info, 2+ = debug
   bool help = false;
 };
@@ -125,9 +126,9 @@ const char kUsage[] =
     "  --verbose           more diagnostics on stderr (repeat for debug)\n"
     "  --report <file>     write the full report to a file (default: stdout)\n"
     "  --html-report <file> write the self-contained HTML noise dashboard\n"
-    "  --progress          analyze: live phase meter on stderr; serve: stream\n"
-    "                      {\"event\":\"progress\"} lines and accept mid-analyze\n"
-    "                      `cancel` requests\n"
+    "  --progress          analyze: live phase meter on stderr; serve/daemon:\n"
+    "                      stream {\"event\":\"progress\"} lines (a mid-analyze\n"
+    "                      `cancel` is accepted with or without it)\n"
     "  --delay-impact      append the crosstalk delay-impact section\n";
 
 std::optional<noise::AnalysisMode> parse_mode(std::string_view s) {
@@ -545,9 +546,10 @@ int run_session(const Args& a, std::istream& in, std::ostream& out) {
 
   session::RequestContext reqobs(session.registry(), a.slow_ms);
   if (a.command == "serve") {
-    session::ServeOptions sopt;
-    sopt.progress = a.progress;
-    session::serve(session, in, out, &reqobs, sopt);
+    // One daemon-style connection over stdio: unbounded queue, no gate or
+    // daemon hooks, default (stdio) caps.
+    session::Protocol proto(session, &reqobs);
+    net::StreamServer(in, out).serve(session, proto, a.progress);
   } else {
     session::shell(session, in, out);
   }
