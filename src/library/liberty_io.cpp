@@ -87,37 +87,6 @@ PinRole parse_role(std::string_view s) {
   throw std::runtime_error("nlib: bad pin role '" + std::string(s) + "'");
 }
 
-/// Tokenized line reader with 1-based line numbers for error messages.
-class LineReader {
- public:
-  explicit LineReader(std::istream& is) : is_(is) {}
-
-  /// Next non-empty, non-comment line split on whitespace; empty when EOF.
-  std::vector<std::string_view> next() {
-    tokens_.clear();
-    while (std::getline(is_, line_)) {
-      ++lineno_;
-      const std::string_view t = nw::trim(line_);
-      if (t.empty() || nw::starts_with(t, "#")) continue;
-      tokens_ = nw::split(t);
-      return tokens_;
-    }
-    return tokens_;
-  }
-
-  [[nodiscard]] int lineno() const noexcept { return lineno_; }
-
-  [[noreturn]] void fail(const std::string& msg) const {
-    throw std::runtime_error("nlib line " + std::to_string(lineno_) + ": " + msg);
-  }
-
- private:
-  std::istream& is_;
-  std::string line_;
-  std::vector<std::string_view> tokens_;
-  int lineno_ = 0;
-};
-
 /// Read `; <count numbers>` at toks[i], advancing i past them. The count
 /// comes from the file, so it is checked against the tokens left on the
 /// line before anything is reserved.
@@ -197,7 +166,7 @@ std::string write_library_string(const Library& lib) {
 }
 
 Library read_library(std::istream& is) {
-  LineReader lr(is);
+  LineReader lr(is, "nlib", "#");
   auto toks = lr.next();
   if (toks.size() < 4 || toks[0] != "library" || toks[2] != "vdd") {
     lr.fail("expected 'library <name> vdd <v>'");

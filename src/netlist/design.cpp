@@ -11,27 +11,29 @@ PinId Design::make_pin(Pin p) {
   return id;
 }
 
-NetId Design::add_net(const std::string& net_name) {
-  if (net_index_.contains(net_name)) {
-    throw std::invalid_argument("Design::add_net: duplicate net '" + net_name + "'");
-  }
+NetId Design::add_net(std::string_view net_name) {
   const NetId id{nets_.size()};
+  if (!net_index_.emplace(net_name, id).second) {
+    throw std::invalid_argument("Design::add_net: duplicate net '" + std::string(net_name) +
+                                "'");
+  }
   Net n;
   n.name = net_name;
   nets_.push_back(std::move(n));
-  net_index_.emplace(net_name, id);
   return id;
 }
 
-InstId Design::add_instance(const std::string& inst_name, const std::string& cell_name) {
-  if (inst_index_.contains(inst_name)) {
-    throw std::invalid_argument("Design::add_instance: duplicate instance '" + inst_name + "'");
-  }
+InstId Design::add_instance(std::string_view inst_name, std::string_view cell_name) {
   const auto cell_idx = lib_->find(cell_name);
   if (!cell_idx) {
-    throw std::invalid_argument("Design::add_instance: unknown cell '" + cell_name + "'");
+    throw std::invalid_argument("Design::add_instance: unknown cell '" +
+                                std::string(cell_name) + "'");
   }
   const InstId id{insts_.size()};
+  if (!inst_index_.emplace(inst_name, id).second) {
+    throw std::invalid_argument("Design::add_instance: duplicate instance '" +
+                                std::string(inst_name) + "'");
+  }
   Instance inst;
   inst.name = inst_name;
   inst.cell = *cell_idx;
@@ -45,18 +47,17 @@ InstId Design::add_instance(const std::string& inst_name, const std::string& cel
     inst.pins.push_back(make_pin(std::move(p)));
   }
   insts_.push_back(std::move(inst));
-  inst_index_.emplace(inst_name, id);
   if (cell.is_sequential()) seqs_.push_back(id);
   return id;
 }
 
-void Design::connect(InstId inst, const std::string& pin_name, NetId net) {
+void Design::connect(InstId inst, std::string_view pin_name, NetId net) {
   const Instance& instance = insts_.at(inst.index());
   const lib::Cell& cell = lib_->cell(instance.cell);
   const auto pin_idx = cell.find_pin(pin_name);
   if (!pin_idx) {
     throw std::invalid_argument("Design::connect: cell '" + cell.name +
-                                "' has no pin '" + pin_name + "'");
+                                "' has no pin '" + std::string(pin_name) + "'");
   }
   const PinId pid = instance.pins.at(*pin_idx);
   Pin& p = pins_.at(pid.index());
@@ -77,32 +78,38 @@ void Design::connect(InstId inst, const std::string& pin_name, NetId net) {
   }
 }
 
-PinId Design::add_input_port(const std::string& port_name, NetId net, PortDrive drive) {
+PinId Design::add_port(std::string_view port_name, PinKind kind, NetId net,
+                       PortDrive drive, double load_cap) {
+  const auto row = static_cast<std::uint32_t>(ports_.size());
+  if (!port_index_.emplace(port_name, row).second) {
+    throw std::invalid_argument("Design: duplicate port '" + std::string(port_name) + "'");
+  }
+  Pin p;
+  p.kind = kind;
+  p.net = net;
+  p.port = row;
+  const PinId pid = make_pin(p);
+  ports_.push_back(Port{std::string(port_name), pid, drive, load_cap});
+  return pid;
+}
+
+PinId Design::add_input_port(std::string_view port_name, NetId net, PortDrive drive) {
   Net& n = nets_.at(net.index());
   if (n.driver.valid()) {
     throw std::invalid_argument("Design::add_input_port: net '" + n.name +
                                 "' already has a driver");
   }
-  Pin p;
-  p.kind = PinKind::kInputPort;
-  p.net = net;
-  p.port_name = port_name;
-  const PinId pid = make_pin(std::move(p));
+  const PinId pid = add_port(port_name, PinKind::kInputPort, net, drive, 0.0);
   n.driver = pid;
   in_ports_.push_back(pid);
-  port_drives_.emplace(pid.value(), drive);
   return pid;
 }
 
-PinId Design::add_output_port(const std::string& port_name, NetId net, double load_cap) {
-  Pin p;
-  p.kind = PinKind::kOutputPort;
-  p.net = net;
-  p.port_name = port_name;
-  const PinId pid = make_pin(std::move(p));
-  nets_.at(net.index()).loads.push_back(pid);
+PinId Design::add_output_port(std::string_view port_name, NetId net, double load_cap) {
+  Net& n = nets_.at(net.index());
+  const PinId pid = add_port(port_name, PinKind::kOutputPort, net, {}, load_cap);
+  n.loads.push_back(pid);
   out_ports_.push_back(pid);
-  port_caps_.emplace(pid.value(), load_cap);
   return pid;
 }
 
@@ -132,21 +139,35 @@ std::string Design::set_instance_cell(InstId inst, const std::string& cell_name)
   return old_cell.name;
 }
 
-std::optional<NetId> Design::find_net(const std::string& net_name) const {
+std::optional<NetId> Design::find_net(std::string_view net_name) const {
   const auto it = net_index_.find(net_name);
   if (it == net_index_.end()) return std::nullopt;
   return it->second;
 }
 
-std::optional<InstId> Design::find_instance(const std::string& inst_name) const {
+std::optional<InstId> Design::find_instance(std::string_view inst_name) const {
   const auto it = inst_index_.find(inst_name);
   if (it == inst_index_.end()) return std::nullopt;
   return it->second;
 }
 
+std::optional<PinId> Design::find_port(std::string_view port_name) const {
+  const auto it = port_index_.find(port_name);
+  if (it == port_index_.end()) return std::nullopt;
+  return ports_[it->second].pin;
+}
+
+const std::string& Design::port_name(PinId id) const {
+  const Pin& p = pin(id);
+  if (p.kind == PinKind::kInstance) {
+    throw std::invalid_argument("Design::port_name: '" + pin_name(id) + "' is not a port pin");
+  }
+  return ports_[p.port].name;
+}
+
 std::string Design::pin_name(PinId id) const {
   const Pin& p = pin(id);
-  if (p.kind != PinKind::kInstance) return p.port_name;
+  if (p.kind != PinKind::kInstance) return ports_[p.port].name;
   return instance(p.inst).name + "/" + cell_of(p.inst).pins[p.cell_pin].name;
 }
 
@@ -155,10 +176,8 @@ double Design::pin_cap(PinId id) const {
   switch (p.kind) {
     case PinKind::kInstance:
       return lib_pin(id).cap;
-    case PinKind::kOutputPort: {
-      const auto it = port_caps_.find(id.value());
-      return it == port_caps_.end() ? 0.0 : it->second;
-    }
+    case PinKind::kOutputPort:
+      return ports_[p.port].load_cap;
     case PinKind::kInputPort:
       return 0.0;
   }
@@ -166,11 +185,11 @@ double Design::pin_cap(PinId id) const {
 }
 
 const PortDrive& Design::port_drive(PinId id) const {
-  const auto it = port_drives_.find(id.value());
-  if (it == port_drives_.end()) {
+  const Pin& p = pin(id);
+  if (p.kind != PinKind::kInputPort) {
     throw std::invalid_argument("Design::port_drive: not an input port pin");
   }
-  return it->second;
+  return ports_[p.port].drive;
 }
 
 double Design::driver_resistance(NetId net_id, bool holding) const {
@@ -283,7 +302,8 @@ std::size_t Design::memory_bytes() const noexcept {
     bytes += string_bytes(i.name) + i.pins.capacity() * sizeof(PinId);
   }
   bytes += pins_.capacity() * sizeof(Pin);
-  for (const Pin& p : pins_) bytes += string_bytes(p.port_name);
+  bytes += ports_.capacity() * sizeof(Port);
+  for (const Port& p : ports_) bytes += string_bytes(p.name);
   bytes += in_ports_.capacity() * sizeof(PinId);
   bytes += out_ports_.capacity() * sizeof(PinId);
   bytes += seqs_.capacity() * sizeof(InstId);
@@ -293,12 +313,12 @@ std::size_t Design::memory_bytes() const noexcept {
   for (const auto& [name, id] : inst_index_) {
     bytes += string_bytes(name) + sizeof(name) + sizeof(id) + kMapNodeOverhead;
   }
+  for (const auto& [name, row] : port_index_) {
+    bytes += string_bytes(name) + sizeof(name) + sizeof(row) + kMapNodeOverhead;
+  }
   bytes += net_index_.bucket_count() * sizeof(void*);
   bytes += inst_index_.bucket_count() * sizeof(void*);
-  bytes += port_drives_.size() * (sizeof(PinId::value_type) + sizeof(PortDrive) + kMapNodeOverhead);
-  bytes += port_caps_.size() * (sizeof(PinId::value_type) + sizeof(double) + kMapNodeOverhead);
-  bytes += port_drives_.bucket_count() * sizeof(void*);
-  bytes += port_caps_.bucket_count() * sizeof(void*);
+  bytes += port_index_.bucket_count() * sizeof(void*);
   return bytes;
 }
 

@@ -5,13 +5,15 @@
 // live in sibling structures indexed by the same NetId/InstId/PinId spaces.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "library/library.hpp"
 #include "util/ids.hpp"
+#include "util/strings.hpp"
 
 namespace nw::net {
 
@@ -26,7 +28,7 @@ struct Pin {
   InstId inst;                  ///< valid iff kind == kInstance
   std::size_t cell_pin = 0;     ///< index into the cell's pin list
   NetId net;                    ///< connected net (may be invalid while building)
-  std::string port_name;        ///< valid iff kind != kInstance
+  std::uint32_t port = 0;       ///< row of the design's port table; valid iff kind != kInstance
 };
 
 struct Instance {
@@ -48,6 +50,14 @@ struct PortDrive {
   double slew = 30e-12;         ///< transition time [s]
 };
 
+/// A primary port: one row of the design's port table.
+struct Port {
+  std::string name;
+  PinId pin;
+  PortDrive drive;              ///< input ports: the external driver
+  double load_cap = 0.0;        ///< output ports: the external load [F]
+};
+
 class Design {
  public:
   /// The library must outlive the design.
@@ -60,21 +70,23 @@ class Design {
   // ---- construction -------------------------------------------------------
 
   /// Create a net; throws on duplicate name.
-  NetId add_net(const std::string& net_name);
+  NetId add_net(std::string_view net_name);
 
   /// Create an instance of `cell_name` (throws if the cell is unknown or the
   /// instance name is a duplicate). Pins start unconnected.
-  InstId add_instance(const std::string& inst_name, const std::string& cell_name);
+  InstId add_instance(std::string_view inst_name, std::string_view cell_name);
 
   /// Connect instance pin `pin_name` to `net`. Output pins become the net's
   /// driver (throws if the net already has one); input pins become loads.
-  void connect(InstId inst, const std::string& pin_name, NetId net);
+  void connect(InstId inst, std::string_view pin_name, NetId net);
 
-  /// Create a primary input port driving `net` (throws if driven already).
-  PinId add_input_port(const std::string& port_name, NetId net, PortDrive drive = {});
+  /// Create a primary input port driving `net`. Throws std::invalid_argument
+  /// if the net is driven already or the port name is taken.
+  PinId add_input_port(std::string_view port_name, NetId net, PortDrive drive = {});
 
-  /// Create a primary output port loading `net`.
-  PinId add_output_port(const std::string& port_name, NetId net, double load_cap = 5e-15);
+  /// Create a primary output port loading `net`. Throws
+  /// std::invalid_argument if the port name is taken.
+  PinId add_output_port(std::string_view port_name, NetId net, double load_cap = 5e-15);
 
   // ---- ECO mutation -------------------------------------------------------
 
@@ -96,8 +108,10 @@ class Design {
   [[nodiscard]] const Instance& instance(InstId id) const { return insts_.at(id.index()); }
   [[nodiscard]] const Pin& pin(PinId id) const { return pins_.at(id.index()); }
 
-  [[nodiscard]] std::optional<NetId> find_net(const std::string& net_name) const;
-  [[nodiscard]] std::optional<InstId> find_instance(const std::string& inst_name) const;
+  [[nodiscard]] std::optional<NetId> find_net(std::string_view net_name) const;
+  [[nodiscard]] std::optional<InstId> find_instance(std::string_view inst_name) const;
+  /// The pin of the input or output port named `port_name`.
+  [[nodiscard]] std::optional<PinId> find_port(std::string_view port_name) const;
 
   /// The library cell of an instance.
   [[nodiscard]] const lib::Cell& cell_of(InstId id) const {
@@ -115,6 +129,9 @@ class Design {
 
   /// Human-readable "inst/PIN" or port name for diagnostics.
   [[nodiscard]] std::string pin_name(PinId id) const;
+
+  /// Name of a port pin (throws std::invalid_argument on an instance pin).
+  [[nodiscard]] const std::string& port_name(PinId id) const;
 
   /// Input pin capacitance presented by a pin to its net [F].
   [[nodiscard]] double pin_cap(PinId id) const;
@@ -145,13 +162,16 @@ class Design {
   [[nodiscard]] std::vector<InstId> topological_order() const;
 
   /// Capacity-based estimate of the heap bytes this design owns (nets,
-  /// instances, pins, name indexes). Feeds the "design" memory account via
-  /// a size-accounting hook — the connectivity containers keep their plain
-  /// allocators.
+  /// instances, pins, ports, name indexes). Feeds the "design" memory
+  /// account via a size-accounting hook — the connectivity containers keep
+  /// their plain allocators.
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
  private:
   PinId make_pin(Pin p);
+  /// Append a port row and its pin; the name must be new.
+  PinId add_port(std::string_view port_name, PinKind kind, NetId net, PortDrive drive,
+                 double load_cap);
 
   const lib::Library* lib_;
   std::string name_;
@@ -161,10 +181,10 @@ class Design {
   std::vector<PinId> in_ports_;
   std::vector<PinId> out_ports_;
   std::vector<InstId> seqs_;
-  std::unordered_map<std::string, NetId> net_index_;
-  std::unordered_map<std::string, InstId> inst_index_;
-  std::unordered_map<PinId::value_type, PortDrive> port_drives_;
-  std::unordered_map<PinId::value_type, double> port_caps_;
+  std::vector<Port> ports_;
+  StringMap<NetId> net_index_;
+  StringMap<InstId> inst_index_;
+  StringMap<std::uint32_t> port_index_;   ///< name -> row of ports_
 };
 
 }  // namespace nw::net

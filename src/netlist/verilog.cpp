@@ -3,10 +3,12 @@
 #include <iomanip>
 #include <limits>
 #include <ostream>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 
 #include "util/strings.hpp"
+#include "util/units.hpp"
 
 namespace nw::net {
 
@@ -14,15 +16,13 @@ void write_netlist(std::ostream& os, const Design& design) {
   os << std::setprecision(std::numeric_limits<double>::max_digits10);
   os << "module " << design.name() << "\n";
   for (const PinId p : design.input_ports()) {
-    const Pin& pin = design.pin(p);
     const PortDrive& pd = design.port_drive(p);
-    os << "input " << pin.port_name << ' ' << design.net(pin.net).name << " drive "
-       << pd.resistance << " slew " << pd.slew << "\n";
+    os << "input " << design.port_name(p) << ' ' << design.net(design.pin(p).net).name
+       << " drive " << pd.resistance << " slew " << pd.slew << "\n";
   }
   for (const PinId p : design.output_ports()) {
-    const Pin& pin = design.pin(p);
-    os << "output " << pin.port_name << ' ' << design.net(pin.net).name << " cap "
-       << design.pin_cap(p) << "\n";
+    os << "output " << design.port_name(p) << ' ' << design.net(design.pin(p).net).name
+       << " cap " << design.pin_cap(p) << "\n";
   }
   // Wires not already introduced by a port line.
   for (std::size_t i = 0; i < design.net_count(); ++i) {
@@ -57,97 +57,95 @@ std::string write_netlist_string(const Design& design) {
 }
 
 Design read_netlist(std::istream& is, const lib::Library& library) {
-  std::string line;
-  int lineno = 0;
-  auto fail = [&](const std::string& msg) -> void {
-    throw std::runtime_error("nv line " + std::to_string(lineno) + ": " + msg);
-  };
-
-  // First line: module header.
-  std::string design_name = "top";
+  LineReader lr(is, "nv", "//");
+  Design design(library, "top");
   bool in_module = false;
-  Design design(library, design_name);
-  bool have_design = false;
 
   auto get_or_make_net = [&](std::string_view name) {
-    const auto id = design.find_net(std::string(name));
+    const auto id = design.find_net(name);
     if (id) return *id;
-    return design.add_net(std::string(name));
+    return design.add_net(name);
+  };
+  // A port attribute in [lo, hi] (or (lo, hi] when `lo_open`).
+  auto attribute = [&](std::string_view tok, std::string_view what, double lo, bool lo_open,
+                       double hi) {
+    const double v = lr.number(tok, what);
+    if (!(lo_open ? v > lo : v >= lo) || !(v <= hi)) {
+      std::ostringstream os;
+      os << what << " value " << v << " outside " << (lo_open ? '(' : '[') << lo << ", " << hi
+         << ']';
+      lr.fail(os.str());
+    }
+    return v;
+  };
+  // `input`/`output` lines: <port> <net> followed by <name> <value> pairs.
+  auto attributes = [&](std::span<const std::string_view> toks, auto&& apply) {
+    if (toks.size() % 2 == 0) lr.fail("attribute '" + std::string(toks.back()) + "' has no value");
+    for (std::size_t i = 3; i < toks.size(); i += 2) apply(toks[i], toks[i + 1]);
   };
 
-  while (std::getline(is, line)) {
-    ++lineno;
-    const auto t = nw::trim(line);
-    if (t.empty() || nw::starts_with(t, "//")) continue;
-    const auto toks = nw::split(t);
+  for (auto toks = lr.next(); !toks.empty(); toks = lr.next()) {
     const auto key = toks[0];
-
-    if (key == "module") {
-      if (in_module) fail("nested module");
-      if (toks.size() < 2) fail("module needs a name");
-      design = Design(library, std::string(toks[1]));
-      in_module = true;
-      have_design = true;
-    } else if (key == "endmodule") {
-      if (!in_module) fail("endmodule outside module");
-      return design;
-    } else if (key == "input") {
-      if (!in_module || toks.size() < 3) fail("bad input line");
-      const NetId net = get_or_make_net(toks[2]);
-      PortDrive pd;
-      for (std::size_t i = 3; i + 1 < toks.size(); i += 2) {
-        if (toks[i] == "drive") {
-          pd.resistance = nw::parse_double(toks[i + 1]);
-        } else if (toks[i] == "slew") {
-          pd.slew = nw::parse_double(toks[i + 1]);
-        } else {
-          fail("unknown input attribute '" + std::string(toks[i]) + "'");
+    // Design refuses bad connectivity (duplicate names, unknown cells or
+    // pins, a second driver) with std::invalid_argument; report it with the
+    // line it came from.
+    try {
+      if (key == "module") {
+        if (in_module) lr.fail("nested module");
+        if (toks.size() < 2) lr.fail("module needs a name");
+        design = Design(library, std::string(toks[1]));
+        in_module = true;
+      } else if (key == "endmodule") {
+        if (!in_module) lr.fail("endmodule outside module");
+        return design;
+      } else if (key == "input") {
+        if (!in_module || toks.size() < 3) lr.fail("bad input line");
+        PortDrive pd;
+        attributes(toks, [&](std::string_view name, std::string_view value) {
+          if (name == "drive") {
+            pd.resistance = attribute(value, "drive", 0.0, true, kMaxResistance);
+          } else if (name == "slew") {
+            pd.slew = attribute(value, "slew", 0.0, false, kMaxSlew);
+          } else {
+            lr.fail("unknown input attribute '" + std::string(name) + "'");
+          }
+        });
+        design.add_input_port(toks[1], get_or_make_net(toks[2]), pd);
+      } else if (key == "output") {
+        if (!in_module || toks.size() < 3) lr.fail("bad output line");
+        double cap = 5e-15;
+        attributes(toks, [&](std::string_view name, std::string_view value) {
+          if (name == "cap") {
+            cap = attribute(value, "cap", 0.0, false, kMaxCapacitance);
+          } else {
+            lr.fail("unknown output attribute '" + std::string(name) + "'");
+          }
+        });
+        design.add_output_port(toks[1], get_or_make_net(toks[2]), cap);
+      } else if (key == "wire") {
+        if (!in_module || toks.size() < 2) lr.fail("bad wire line");
+        if (design.find_net(toks[1])) lr.fail("duplicate wire '" + std::string(toks[1]) + "'");
+        design.add_net(toks[1]);
+      } else if (key == "inst") {
+        if (!in_module || toks.size() < 3) lr.fail("bad inst line");
+        const InstId inst = design.add_instance(toks[1], toks[2]);
+        for (const std::string_view conn : toks.subspan(3)) {
+          const auto eq = conn.find('=');
+          if (eq == std::string_view::npos) {
+            lr.fail("expected PIN=net, got '" + std::string(conn) + "'");
+          }
+          const auto net = design.find_net(conn.substr(eq + 1));
+          if (!net) lr.fail("undeclared net '" + std::string(conn.substr(eq + 1)) + "'");
+          design.connect(inst, conn.substr(0, eq), *net);
         }
+      } else {
+        lr.fail("unknown keyword '" + std::string(key) + "'");
       }
-      design.add_input_port(std::string(toks[1]), net, pd);
-    } else if (key == "output") {
-      if (!in_module || toks.size() < 3) fail("bad output line");
-      const NetId net = get_or_make_net(toks[2]);
-      double cap = 5e-15;
-      for (std::size_t i = 3; i + 1 < toks.size(); i += 2) {
-        if (toks[i] == "cap") {
-          cap = nw::parse_double(toks[i + 1]);
-        } else {
-          fail("unknown output attribute '" + std::string(toks[i]) + "'");
-        }
-      }
-      design.add_output_port(std::string(toks[1]), net, cap);
-    } else if (key == "wire") {
-      if (!in_module || toks.size() < 2) fail("bad wire line");
-      if (design.find_net(std::string(toks[1]))) fail("duplicate wire '" + std::string(toks[1]) + "'");
-      design.add_net(std::string(toks[1]));
-    } else if (key == "inst") {
-      if (!in_module || toks.size() < 3) fail("bad inst line");
-      InstId inst;
-      try {
-        inst = design.add_instance(std::string(toks[1]), std::string(toks[2]));
-      } catch (const std::invalid_argument& e) {
-        fail(e.what());
-      }
-      for (std::size_t i = 3; i < toks.size(); ++i) {
-        const auto eq = toks[i].find('=');
-        if (eq == std::string_view::npos) fail("expected PIN=net, got '" + std::string(toks[i]) + "'");
-        const auto pin_name = toks[i].substr(0, eq);
-        const auto net_name = toks[i].substr(eq + 1);
-        const auto net = design.find_net(std::string(net_name));
-        if (!net) fail("undeclared net '" + std::string(net_name) + "'");
-        try {
-          design.connect(inst, std::string(pin_name), *net);
-        } catch (const std::invalid_argument& e) {
-          fail(e.what());
-        }
-      }
-    } else {
-      fail("unknown keyword '" + std::string(key) + "'");
+    } catch (const std::invalid_argument& e) {
+      lr.fail(e.what());
     }
   }
-  if (!have_design || in_module) fail("missing endmodule");
-  return design;
+  lr.fail("missing endmodule");
 }
 
 Design read_netlist_string(const std::string& text, const lib::Library& library) {

@@ -19,16 +19,15 @@ void write_spef(std::ostream& os, const net::Design& design, const Parasitics& p
 [[nodiscard]] std::string write_spef_string(const net::Design& design,
                                             const Parasitics& para);
 
-/// Physical limits a .nwspef file must respect. Values beyond them are not
-/// extraction results but corrupt input, and they can overflow downstream
-/// sums to infinity.
-inline constexpr double kMaxSpefCapacitance = 1e-9;  ///< 1 nF per *C / *CC value
-inline constexpr double kMaxSpefResistance = 1e9;    ///< 1 GOhm per *R value
-inline constexpr std::size_t kMaxSpefNetNodes = 1u << 20;  ///< nodes per *NET
+/// Nodes a single *NET section may declare. *C/*R/*CC values are bounded by
+/// kMaxCapacitance and kMaxResistance (util/units.hpp).
+inline constexpr std::size_t kMaxSpefNetNodes = 1u << 20;
 
 /// Parse; throws std::runtime_error (with line number) on malformed input,
-/// names that don't resolve against `design`, negative values, or values
-/// and node counts beyond the limits above.
+/// names that don't resolve against `design`, negative values, values and
+/// node counts beyond the limits above, node indexes past the net's node
+/// count, and a *P pin that is not on the section's net or is attached
+/// twice.
 [[nodiscard]] Parasitics read_spef(std::istream& is, const net::Design& design);
 [[nodiscard]] Parasitics read_spef_string(const std::string& text,
                                           const net::Design& design);

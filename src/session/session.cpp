@@ -9,7 +9,7 @@
 #include "obs/memtrack.hpp"
 #include "obs/resource.hpp"
 #include "obs/tracer.hpp"
-#include "parasitics/spef.hpp"
+#include "util/units.hpp"
 
 namespace nw::session {
 
@@ -184,7 +184,7 @@ std::vector<EndpointSlack> Session::endpoint_slacks() {
     const net::Pin& p = d.pin(pid);
     if (!p.net.valid()) continue;
     if (k >= r.endpoint_slacks.size()) break;
-    out.push_back({p.port_name, d.net(p.net).name, r.endpoint_slacks[k++]});
+    out.push_back({d.port_name(pid), d.net(p.net).name, r.endpoint_slacks[k++]});
   }
   std::stable_sort(out.begin(), out.end(),
                    [](const EndpointSlack& a, const EndpointSlack& b) {
@@ -229,17 +229,17 @@ void Session::scale_net_parasitics(const std::string& net, double cap_factor,
         res_factor > 0.0)) {
     throw std::invalid_argument("scale_net_parasitics: factors must be finite and positive");
   }
-  // An edit answers to the .nwspef reader's physical limits: a value past
+  // An edit answers to the file readers' physical limits: a value past
   // them is no ECO but corrupt input, and it can overflow downstream sums.
   const para::RcNet& rc = parasitics().net(id);
   for (std::uint32_t n = 0; n < rc.node_count(); ++n) {
-    if (rc.node(n).cground * cap_factor > para::kMaxSpefCapacitance) {
+    if (rc.node(n).cground * cap_factor > kMaxCapacitance) {
       throw std::invalid_argument("scale_net_parasitics: scaling '" + net +
                                   "' puts a node cap above the 1 nF limit");
     }
   }
   for (const para::RcRes& r : rc.resistors()) {
-    if (r.r * res_factor > para::kMaxSpefResistance) {
+    if (r.r * res_factor > kMaxResistance) {
       throw std::invalid_argument("scale_net_parasitics: scaling '" + net +
                                   "' puts a resistor above the 1 GOhm limit");
     }
@@ -264,7 +264,7 @@ void Session::set_coupling_cap(const std::string& net_a, const std::string& net_
   if (!(std::isfinite(cap) && cap > 0.0)) {
     throw std::invalid_argument("set_coupling_cap: capacitance must be finite and positive");
   }
-  if (cap > para::kMaxSpefCapacitance) {
+  if (cap > kMaxCapacitance) {
     throw std::invalid_argument("set_coupling_cap: coupling between '" + net_a +
                                 "' and '" + net_b + "' would exceed the 1 nF limit");
   }
@@ -293,14 +293,10 @@ void Session::set_coupling_cap(const std::string& net_a, const std::string& net_
 }
 
 void Session::set_arrival_window(const std::string& port, Interval window) {
-  bool found = false;
-  for (const PinId pid : design().input_ports()) {
-    if (design().pin(pid).port_name == port) {
-      found = true;
-      break;
-    }
+  const auto pid = design().find_port(port);
+  if (!pid || design().pin(*pid).kind != net::PinKind::kInputPort) {
+    throw NotFound("unknown input port '" + port + "'");
   }
-  if (!found) throw NotFound("unknown input port '" + port + "'");
   if (!std::isfinite(window.lo) || !std::isfinite(window.hi)) {
     throw std::invalid_argument("set_arrival_window: non-finite window for '" + port + "'");
   }

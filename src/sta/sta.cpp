@@ -126,7 +126,7 @@ Result run(const net::Design& design, const para::Parasitics& para, const Option
   for (const PinId p : design.input_ports()) {
     PinTiming t;
     Interval arr = opt.default_input_arrival;
-    const auto it = opt.input_arrivals.find(design.pin(p).port_name);
+    const auto it = opt.input_arrivals.find(design.port_name(p));
     if (it != opt.input_arrivals.end()) arr = it->second;
     t.rise = arr;
     t.fall = arr;

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <istream>
 #include <limits>
 #include <stdexcept>
 
@@ -14,18 +15,25 @@ std::string_view trim(std::string_view s) noexcept {
   return s.substr(first, last - first + 1);
 }
 
-std::vector<std::string_view> split(std::string_view s, std::string_view delims) {
-  std::vector<std::string_view> out;
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    const auto start = s.find_first_not_of(delims, pos);
-    if (start == std::string_view::npos) break;
-    auto end = s.find_first_of(delims, start);
-    if (end == std::string_view::npos) end = s.size();
-    out.push_back(s.substr(start, end - start));
-    pos = end;
+void split(std::string_view s, std::vector<std::string_view>& out,
+           std::string_view delims) {
+  out.clear();
+  // A plain scan: string_view::find_first_of would search `delims` once per
+  // character, which costs more than the rest of a reader's line.
+  const auto is_delim = [delims](char c) {
+    for (const char d : delims) {
+      if (c == d) return true;
+    }
+    return false;
+  };
+  const std::size_t n = s.size();
+  std::size_t i = 0;
+  while (i < n) {
+    while (i < n && is_delim(s[i])) ++i;
+    const std::size_t start = i;
+    while (i < n && !is_delim(s[i])) ++i;
+    if (i > start) out.push_back(s.substr(start, i - start));
   }
-  return out;
 }
 
 bool starts_with(std::string_view s, std::string_view prefix) noexcept {
@@ -64,6 +72,39 @@ std::optional<std::size_t> to_count(double v) noexcept {
     return std::numeric_limits<std::size_t>::max();
   }
   return static_cast<std::size_t>(v);
+}
+
+std::span<const std::string_view> LineReader::next() {
+  tokens_.clear();
+  while (std::getline(is_, line_)) {
+    ++lineno_;
+    const std::string_view t = trim(line_);
+    if (t.empty() || starts_with(t, comment_)) continue;
+    split(t, tokens_);
+    break;
+  }
+  return tokens_;
+}
+
+void LineReader::fail(const std::string& msg) const {
+  throw std::runtime_error(std::string(format_) + " line " + std::to_string(lineno_) +
+                           ": " + msg);
+}
+
+double LineReader::number(std::string_view tok, std::string_view what) const {
+  try {
+    return parse_double(tok);
+  } catch (const std::invalid_argument& e) {
+    fail(std::string(what) + ": " + e.what());
+  }
+}
+
+unsigned long LineReader::integer(std::string_view tok, std::string_view what) const {
+  try {
+    return parse_uint(tok);
+  } catch (const std::invalid_argument& e) {
+    fail(std::string(what) + ": " + e.what());
+  }
 }
 
 }  // namespace nw

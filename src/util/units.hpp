@@ -32,4 +32,12 @@ inline constexpr double AMP = 1.0;
 inline constexpr double MA = 1e-3;
 inline constexpr double UA = 1e-6;
 
+// Physical limits of one value read from a design file (.nv port
+// attributes, .nwspef *C/*R/*CC) or set by an ECO edit. Values beyond them
+// are not design data but corrupt input, and they can overflow downstream
+// sums to infinity.
+inline constexpr double kMaxCapacitance = 1 * 1e-9;  ///< 1 nF per capacitance
+inline constexpr double kMaxResistance = 1e9;        ///< 1 GOhm per resistance
+inline constexpr double kMaxSlew = 1e-6;             ///< 1 us per transition time
+
 }  // namespace nw

@@ -46,6 +46,23 @@ TEST_F(NetlistTest, DuplicateNamesThrow) {
   d.add_instance("i", "INV_X1");
   EXPECT_THROW(d.add_instance("i", "BUF_X1"), std::invalid_argument);
   EXPECT_THROW(d.add_instance("j", "NO_SUCH_CELL"), std::invalid_argument);
+
+  // Port names are one namespace: inputs and outputs may not share a name.
+  const NetId a = d.add_net("a");
+  const NetId b = d.add_net("b");
+  const PinId p = d.add_input_port("p", a);
+  EXPECT_THROW(d.add_input_port("p", b), std::invalid_argument);
+  EXPECT_THROW(d.add_output_port("p", a), std::invalid_argument);
+  const PinId o = d.add_output_port("o", b);
+  EXPECT_THROW(d.add_output_port("o", a), std::invalid_argument);
+  EXPECT_THROW(d.add_input_port("o", b), std::invalid_argument);
+  // A refused port leaves nothing behind.
+  EXPECT_EQ(d.input_ports().size(), 1u);
+  EXPECT_EQ(d.output_ports().size(), 1u);
+  EXPECT_EQ(d.net(a).loads.size(), 0u);
+  EXPECT_FALSE(d.net(b).driver.valid());
+  EXPECT_EQ(d.find_port("p"), p);
+  EXPECT_EQ(d.find_port("o"), o);
 }
 
 TEST_F(NetlistTest, DoubleDriverThrows) {
@@ -87,6 +104,27 @@ TEST_F(NetlistTest, FindByName) {
   EXPECT_EQ(d.find_instance("myinst"), i);
   EXPECT_FALSE(d.find_net("nope").has_value());
   EXPECT_FALSE(d.find_instance("nope").has_value());
+}
+
+TEST_F(NetlistTest, PortTable) {
+  Design d(library_);
+  const NetId n = d.add_net("n");
+  const std::size_t before = d.memory_bytes();
+  const PinId in = d.add_input_port("in", n, {500.0, 4e-12});
+  const PinId out = d.add_output_port("a_long_output_port_name", n, 9e-15);
+  EXPECT_EQ(d.find_port("in"), in);
+  EXPECT_EQ(d.find_port(std::string_view("xa_long_output_port_namex").substr(1, 23)), out);
+  EXPECT_FALSE(d.find_port("n").has_value());  // a net name is not a port
+  EXPECT_EQ(d.port_name(in), "in");
+  EXPECT_EQ(d.pin_name(out), "a_long_output_port_name");
+  EXPECT_DOUBLE_EQ(d.port_drive(in).slew, 4e-12);
+  EXPECT_DOUBLE_EQ(d.pin_cap(out), 9e-15);
+  EXPECT_DOUBLE_EQ(d.pin_cap(in), 0.0);
+  EXPECT_THROW((void)d.port_drive(out), std::invalid_argument);
+  const InstId g = d.add_instance("g", "INV_X1");
+  EXPECT_THROW((void)d.port_name(d.instance(g).pins[0]), std::invalid_argument);
+  // The table, its index and the heap name are charged.
+  EXPECT_GT(d.memory_bytes(), before + 2 * sizeof(Port));
 }
 
 TEST_F(NetlistTest, PortDriveAccess) {

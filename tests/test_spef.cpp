@@ -1,8 +1,13 @@
 // SPEF-like format round-trip against a real design.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "gen/randlogic.hpp"
 #include "library/library.hpp"
 #include "netlist/design.hpp"
+#include "netlist/verilog.hpp"
 #include "parasitics/spef.hpp"
 
 namespace nw::para {
@@ -94,6 +99,41 @@ TEST(Spef, ParseErrors) {
                std::runtime_error);  // *C outside net
   EXPECT_THROW((void)read_spef_string("*NWSPEF 1\n*NET na 1\n", f.design),
                std::runtime_error);  // missing *END
+
+  // Each case: a body on line 2 onwards, the error it must raise and the
+  // line that error must name. Net na has 2 nodes; g1/A loads na, not ya.
+  struct Case {
+    const char* body;
+    const char* what;
+    int line;
+  };
+  const Case cases[] = {
+      // A node index that does not fit uint32_t used to wrap to node 0.
+      {"*NET na 2\n*C 4294967296 1e-15\n", "*C node 4294967296 out of range", 3},
+      // ...and one past the node count escaped as std::out_of_range.
+      {"*NET na 2\n*C 5 1e-15\n", "*C node 5 out of range", 3},
+      {"*NET na 2\n*C x 1e-15\n", "*C: parse_uint: bad integer 'x'", 3},
+      {"*NET na 2\n*R 0 7 10\n", "*R node 7 out of range", 3},
+      {"*NET na 2\n*P 9 g1/A\n", "*P node 9 out of range", 3},
+      {"*NET na 2\n*ENDNET\n*NET nb 2\n*ENDNET\n*CC na 0 nb 2 1e-15\n",
+       "*CC node 2 out of range", 6},
+      // A *P naming a pin of another net used to put that load on this tree.
+      {"*NET ya 2\n*P 1 g1/A\n", "pin 'g1/A' is on net 'na', not 'ya'", 3},
+      {"*NET na 3\n*P 1 g1/A\n*P 2 g1/A\n", "pin 'g1/A' is already attached", 4},
+      {"*NET na 2\n*P 1 ia\n*P 1 g1/A\n", "node 1 already has a pin", 4},
+      {"*NET na 2\n*R 1 1 10\n", "self-loop", 3},
+  };
+  for (const Case& c : cases) {
+    try {
+      (void)read_spef_string(std::string("*NWSPEF 1\n") + c.body + "*ENDNET\n*END\n", f.design);
+      ADD_FAILURE() << "no error for:\n" << c.body;
+    } catch (const std::runtime_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("nwspef line " + std::to_string(c.line) + ": "), std::string::npos)
+          << msg;
+      EXPECT_NE(msg.find(c.what), std::string::npos) << msg;
+    }
+  }
 }
 
 /// The error read_spef_string raises on `body` (between header and *END).
@@ -154,14 +194,81 @@ TEST(Spef, ResolvesPortsAndInstancePins) {
       "*DESIGN spef_test\n"
       "*NET na 2\n"
       "*C 1 1e-15\n"
+      "*P 0 ia\n"
       "*P 1 g1/A\n"
+      "*R 0 1 10\n"
+      "*ENDNET\n"
+      "*NET ya 2\n"
+      "*P 0 g1/Y\n"
+      "*P 1 oa\n"
       "*R 0 1 10\n"
       "*ENDNET\n"
       "*END\n";
   const Parasitics p = read_spef_string(text, f.design);
   const RcNet& rc = p.net(f.a);
   EXPECT_EQ(rc.node_count(), 2u);
+  EXPECT_EQ(rc.node(0).pin, f.design.find_port("ia"));
+  EXPECT_EQ(f.design.pin_name(rc.node(0).pin), "ia");
   EXPECT_EQ(f.design.pin_name(rc.node(1).pin), "g1/A");
+  const RcNet& ry = p.net(*f.design.find_net("ya"));
+  EXPECT_EQ(f.design.pin_name(ry.node(0).pin), "g1/Y");
+  EXPECT_EQ(ry.node(1).pin, f.design.find_port("oa"));
+  EXPECT_EQ(f.design.port_name(ry.node(1).pin), "oa");
+}
+
+TEST(Spef, LargeDesignRoundTripIsIdentical) {
+  // Enough gates for well over 1k output ports, so every port *P line goes
+  // through the design's port index rather than a short list.
+  const lib::Library library = lib::default_library();
+  gen::RandLogicConfig cfg;
+  cfg.gates = 5000;
+  cfg.seed = 11;
+  const gen::Generated g = gen::make_rand_logic(library, cfg);
+  ASSERT_GE(g.design.output_ports().size(), 1000u);
+
+  // Write, read, write again: identical bytes. Reading renumbers nets (the
+  // .nv writer lists port nets first), so the .nwspef pass starts from the
+  // read design.
+  const std::string nv = net::write_netlist_string(g.design);
+  const net::Design d = net::read_netlist_string(nv, library);
+  EXPECT_TRUE(net::write_netlist_string(d) == nv);
+  const Parasitics p = read_spef_string(write_spef_string(g.design, g.para), d);
+  const std::string spef = write_spef_string(d, p);
+  EXPECT_TRUE(write_spef_string(d, read_spef_string(spef, d)) == spef);
+
+  // Net for net: same driver, loads and RC tree pins, by name.
+  ASSERT_EQ(d.net_count(), g.design.net_count());
+  const auto name = [](const net::Design& des, PinId pin) {
+    return pin.valid() ? des.pin_name(pin) : std::string();
+  };
+  const auto names = [&](const net::Design& des, const std::vector<PinId>& pins) {
+    std::vector<std::string> out;
+    for (const PinId pin : pins) out.push_back(name(des, pin));
+    return out;
+  };
+  for (std::size_t i = 0; i < g.design.net_count(); ++i) {
+    const net::Net& want = g.design.net(NetId{i});
+    const auto id = d.find_net(want.name);
+    ASSERT_TRUE(id.has_value()) << want.name;
+    const net::Net& got = d.net(*id);
+    EXPECT_EQ(name(d, got.driver), name(g.design, want.driver)) << want.name;
+    EXPECT_EQ(names(d, got.loads), names(g.design, want.loads)) << want.name;
+    const RcNet& rw = g.para.net(NetId{i});
+    const RcNet& rg = p.net(*id);
+    ASSERT_EQ(rg.node_count(), rw.node_count()) << want.name;
+    EXPECT_EQ(rg.res_count(), rw.res_count()) << want.name;
+    for (std::uint32_t n = 0; n < rw.node_count(); ++n) {
+      EXPECT_EQ(name(d, rg.node(n).pin), name(g.design, rw.node(n).pin))
+          << want.name << " node " << n;
+    }
+  }
+  EXPECT_EQ(p.couplings().size(), g.para.couplings().size());
+  ASSERT_EQ(d.output_ports().size(), g.design.output_ports().size());
+  for (std::size_t i = 0; i < d.output_ports().size(); ++i) {
+    const PinId port = d.output_ports()[i];
+    EXPECT_EQ(d.port_name(port), g.design.port_name(g.design.output_ports()[i]));
+    EXPECT_EQ(d.find_port(d.port_name(port)), port);
+  }
 }
 
 }  // namespace

@@ -85,6 +85,49 @@ TEST_F(VerilogTest, Errors) {
   expect_fail("module t\nwire w\ninst g INV_X1 Q=w\nendmodule\n");  // bad pin
   expect_fail("module t\nwire w\nwire w\nendmodule\n");  // duplicate wire
   expect_fail("module t\ninput i n0 bogus 5\nendmodule\n");  // bad attribute
+
+  // Each case: the error must name its line and what went wrong.
+  struct Case {
+    const char* text;
+    const char* what;
+    int line;
+  };
+  const Case cases[] = {
+      {"module t\ninput i n0 drive abc\nendmodule\n", "drive: parse_double: bad number", 2},
+      {"module t\ninput i n0 drive\nendmodule\n", "attribute 'drive' has no value", 2},
+      // Duplicate port names: two inputs, or an input and an output.
+      {"module t\ninput i n0\ninput i n1\nendmodule\n", "duplicate port 'i'", 3},
+      {"module t\ninput ia n0\noutput ia n1\nendmodule\n", "duplicate port 'ia'", 3},
+      // Port attributes outside their physical ranges.
+      {"module t\ninput i n0 drive -5 slew 1e-11\nendmodule\n", "drive value -5 outside (0", 2},
+      {"module t\ninput i n0 drive 0\nendmodule\n", "drive value 0 outside (0", 2},
+      {"module t\ninput i n0 drive 2e9\nendmodule\n", "drive value 2e+09 outside", 2},
+      {"module t\ninput i n0 slew -1\nendmodule\n", "slew value -1 outside [0", 2},
+      {"module t\ninput i n0 slew 1\nendmodule\n", "slew value 1 outside [0", 2},
+      {"module t\ninput i n0 slew nan\nendmodule\n", "slew: parse_double: non-finite", 2},
+      {"module t\nwire n0\noutput o n0 cap -1\nendmodule\n", "cap value -1 outside [0", 3},
+      {"module t\nwire n0\noutput o n0 cap 1e-3\nendmodule\n", "cap value 0.001 outside", 3},
+      {"module t\ninput i n0\ninput j n0\nendmodule\n", "already has a driver", 3},
+  };
+  for (const Case& c : cases) {
+    try {
+      (void)read_netlist_string(c.text, library_);
+      ADD_FAILURE() << "no error for:\n" << c.text;
+    } catch (const std::runtime_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("nv line " + std::to_string(c.line) + ": "), std::string::npos) << msg;
+      EXPECT_NE(msg.find(c.what), std::string::npos) << msg;
+    }
+  }
+}
+
+TEST_F(VerilogTest, PortAttributesAtTheirLimitsLoad) {
+  const Design d = read_netlist_string(
+      "module t\ninput i n0 drive 1e9 slew 0\noutput o n0 cap 0\n"
+      "output p n0 cap 1e-9\nendmodule\n",
+      library_);
+  EXPECT_DOUBLE_EQ(d.port_drive(*d.find_port("i")).resistance, 1e9);
+  EXPECT_DOUBLE_EQ(d.pin_cap(*d.find_port("p")), 1e-9);
 }
 
 TEST_F(VerilogTest, DoubleDriverFailsWithLineNumber) {

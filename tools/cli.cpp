@@ -494,19 +494,11 @@ void load_inputs(const Args& a, lib::Library& library, std::optional<net::Design
     if (!a.arrivals_path.empty()) {
       std::ifstream af(a.arrivals_path);
       if (!af) throw std::runtime_error("cannot open arrivals '" + a.arrivals_path + "'");
-      std::string line;
-      int lineno = 0;
-      while (std::getline(af, line)) {
-        ++lineno;
-        const auto t = nw::trim(line);
-        if (t.empty() || nw::starts_with(t, "#")) continue;
-        const auto toks = nw::split(t);
-        if (toks.size() < 3) {
-          throw std::runtime_error("arrivals line " + std::to_string(lineno) +
-                                   ": expected '<port> <lo> <hi>'");
-        }
+      nw::LineReader lr(af, "arrivals", "#");
+      for (auto toks = lr.next(); !toks.empty(); toks = lr.next()) {
+        if (toks.size() < 3) lr.fail("expected '<port> <lo> <hi>'");
         sta_opt.input_arrivals[std::string(toks[0])] =
-            Interval{nw::parse_double(toks[1]), nw::parse_double(toks[2])};
+            Interval{lr.number(toks[1], "lo"), lr.number(toks[2], "hi")};
       }
     }
   }
