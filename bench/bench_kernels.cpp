@@ -10,14 +10,11 @@
 //                            vs. one union_flat() sort + sweep
 //
 // Each pair is checked for bit-identical output before timing (the kernels'
-// core contract). With NW_STATS_JSON=<path> set, per-kernel wall times land
-// in a --stats-json record tracked by tools/bench_history.py.
+// core contract).
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <random>
 #include <utility>
 #include <vector>
@@ -108,8 +105,7 @@ void BM_PeaksScalar(benchmark::State& state) {
 void BM_PeaksVector(benchmark::State& state) {
   const auto fanin = static_cast<std::size_t>(state.range(0));
   const Row row = make_row(fanin, 42);
-  // Same tracked slabs KernelBuffers uses in production, so this record
-  // carries a nonzero kernel_buffers peak for bench_history's memory gate.
+  // Same tracked slabs KernelBuffers uses in production.
   noise::KbVec<double> p(fanin), w(fanin), d(fanin);
   for (auto _ : state) {
     noise::peaks_two_pi(row.r_hold, row.c_ground, row.c_couple, row.slew, kVdd, p, w,
@@ -238,91 +234,6 @@ BENCHMARK(BM_CombineVector)->Arg(8)->Arg(64)->Arg(512)->Unit(benchmark::kMicrose
 BENCHMARK(BM_UnionScalar)->Arg(16)->Arg(256)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_UnionVector)->Arg(16)->Arg(256)->Unit(benchmark::kMicrosecond);
 
-/// Wall time of `reps` runs of `fn`, in ms.
-template <typename Fn>
-double time_ms(std::size_t reps, Fn&& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < reps; ++i) fn();
-  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                   t0)
-      .count();
-}
-
 }  // namespace
 
-// Custom main (mirrors bench_runtime): with NW_STATS_JSON=<path> set, the
-// per-kernel scalar/vector wall times are exported in the --stats-json
-// schema so tools/bench_history.py tracks kernel-level regressions
-// independently of the end-to-end pipeline timings.
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  if (const char* path = std::getenv("NW_STATS_JSON")) {
-    constexpr std::size_t kFanin = 256;
-    constexpr std::size_t kReps = 200;
-    check_peaks_identical(kFanin);
-    const Row row = make_row(kFanin, 42);
-    std::vector<double> p(kFanin), w(kFanin), d(kFanin);
-    const double peaks_scalar = time_ms(kReps, [&] { run_scalar_peaks(row, p, w, d); });
-    const double peaks_vector = time_ms(kReps, [&] {
-      noise::peaks_two_pi(row.r_hold, row.c_ground, row.c_couple, row.slew, kVdd, p, w,
-                          d);
-    });
-    const auto cs = make_contributions(kFanin, 7);
-    const double combine_scalar =
-        time_ms(kReps, [&] { benchmark::DoNotOptimize(scalar_combine(cs).best_sum); });
-    noise::CombineScratch scratch;
-    const double combine_vector = time_ms(kReps, [&] {
-      benchmark::DoNotOptimize(
-          noise::combine_flat(cs, noise::AnalysisMode::kNoiseWindows,
-                              Interval::everything(), noise::Constraints{},
-                              noise::CombineView::kAll, scratch)
-              .peak);
-    });
-    const auto ivs = make_intervals(kFanin, 11);
-    const double union_scalar = time_ms(kReps, [&] {
-      IntervalSet set;
-      for (const Interval& iv : ivs) set.add(iv);
-      benchmark::DoNotOptimize(set.intervals().size());
-    });
-    std::vector<Interval> iv_scratch;
-    const double union_vector = time_ms(kReps, [&] {
-      iv_scratch.assign(ivs.begin(), ivs.end());
-      benchmark::DoNotOptimize(noise::kernels::union_flat(iv_scratch).intervals().size());
-    });
-
-    obs::RunMeta meta;
-    meta.design = "kernels-synthetic";
-    meta.mode = "noise-windows";
-    meta.model = "two-pi";
-    meta.options_digest = "-";
-    meta.build = obs::build_version();
-    obs::MetricsSnapshot snap;
-    const auto gauge = [&](const char* name, const char* help, double ms) {
-      obs::MetricSample s;
-      s.name = name;
-      s.help = help;
-      s.unit = "ms";
-      s.kind = obs::MetricSample::Kind::kGauge;
-      s.deterministic = false;
-      s.value = ms;
-      snap.samples.push_back(std::move(s));
-    };
-    gauge("kernel_peaks_scalar_ms", "per-pair two-pi estimation", peaks_scalar);
-    gauge("kernel_peaks_vector_ms", "flat two-pi sweep", peaks_vector);
-    gauge("kernel_combine_scalar_ms", "WeightedWindow combine", combine_scalar);
-    gauge("kernel_combine_vector_ms", "combine_flat", combine_vector);
-    gauge("kernel_union_scalar_ms", "incremental IntervalSet::add", union_scalar);
-    gauge("kernel_union_vector_ms", "union_flat sort + sweep", union_vector);
-    std::ofstream f(path);
-    // Kernel micro-benches never run the parallel analyzer; an
-    // enabled:false executor section keeps the record schema-complete.
-    const std::pair<std::string, std::string> extra[] = {
-        {"bench", nw::bench::bench_record_json()},
-        {"executor", noise::executor_stats_json(noise::Result{})}};
-    obs::write_stats_json(f, meta, snap, extra);
-  }
-  return 0;
-}
+BENCHMARK_MAIN();

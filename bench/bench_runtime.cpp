@@ -6,8 +6,6 @@
 // the unfiltered mode.
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
-
 #include "bench/suite.hpp"
 #include "noise/analyzer.hpp"
 #include "sta/sta.hpp"
@@ -109,21 +107,4 @@ BENCHMARK(BM_StaOnly)->Arg(64)->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecon
 
 }  // namespace
 
-// Custom main (instead of BENCHMARK_MAIN) so a bench run can also leave
-// machine-readable run records: with NW_STATS_JSON=<path> set, one analysis
-// of the D1 bus is exported in the --stats-json schema after the benchmarks
-// finish; NW_STATS_JSON_LOGIC10K=<path> additionally records the D5 logic
-// cloud (the design the per-kernel phase timings are baselined on).
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  if (const char* path = std::getenv("NW_STATS_JSON")) {
-    nw::bench::write_run_record(path, library());
-  }
-  if (const char* path = std::getenv("NW_STATS_JSON_LOGIC10K")) {
-    nw::bench::write_run_record(path, library(), "logic10k");
-  }
-  return 0;
-}
+BENCHMARK_MAIN();

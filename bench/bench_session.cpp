@@ -15,16 +15,12 @@
 
 #include <unistd.h>
 
-#include <chrono>
-#include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <string>
 
 #include "bench/suite.hpp"
 #include "net/daemon.hpp"
 #include "net/socket.hpp"
-#include "obs/metrics.hpp"
 #include "session/session.hpp"
 
 namespace {
@@ -134,64 +130,4 @@ BENCHMARK(BM_DaemonRoundTrip)->Arg(64)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 
-// Custom main (mirrors bench_runtime): with NW_STATS_JSON=<path> set, a
-// short scripted session (query, edit, re-query, undo, re-query) exports
-// its per-session counters in the --stats-json schema.
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  if (const char* path = std::getenv("NW_STATS_JSON")) {
-    session::Session s = make_session(64);
-    (void)s.result();
-    s.scale_net_parasitics("w1", 1.5, 1.0);
-    (void)s.result();
-    s.undo();
-    (void)s.result();
-
-    // Daemon serving latency rides along in the timing section: mean
-    // round-trip of a short cached-query burst through an in-process
-    // daemon on a unix socket.
-    double roundtrip_ms = 0.0;
-    {
-      std::unique_ptr<net::Daemon> daemon = make_daemon(64);
-      net::SocketStream client(net::connect_endpoint(daemon->bound_endpoint()));
-      std::string line;
-      constexpr int kRounds = 50;
-      const auto t0 = std::chrono::steady_clock::now();
-      for (int i = 0; i < kRounds; ++i) {
-        client << "{\"id\":" << i + 1 << ",\"cmd\":\"violations\"}\n" << std::flush;
-        if (!std::getline(client, line)) break;
-      }
-      roundtrip_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count() /
-                     kRounds;
-      daemon->stop();
-    }
-    obs::MetricsSnapshot snap = s.metrics_snapshot();
-    obs::MetricSample rt;
-    rt.name = "daemon_roundtrip_ms";
-    rt.help = "mean JSONL round-trip through an in-process daemon (cached query)";
-    rt.unit = "ms";
-    rt.kind = obs::MetricSample::Kind::kGauge;
-    rt.deterministic = false;
-    rt.value = roundtrip_ms;
-    snap.samples.push_back(rt);
-
-    std::ofstream f(path);
-    // The session's last analysis supplies the executor utilization the
-    // schema-v3 record requires.
-    const std::pair<std::string, std::string> extra[] = {
-        {"bench", nw::bench::bench_record_json()},
-        {"executor", noise::executor_stats_json(s.result())}};
-    // Suite-case label, not the raw netlist name: bench_history.py
-    // qualifies baseline metrics by design, and the session record must
-    // not collide with bench_runtime's plain "bus64" record.
-    obs::RunMeta meta = s.meta();
-    meta.design = "bus64-session";
-    obs::write_stats_json(f, meta, snap, extra);
-  }
-  return 0;
-}
+BENCHMARK_MAIN();

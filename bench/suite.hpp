@@ -6,24 +6,13 @@
 // register pipeline (sequential endpoints for the latch check).
 #pragma once
 
-#include <chrono>
-#include <ctime>
-#include <fstream>
-#include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "gen/bus.hpp"
 #include "gen/pipeline.hpp"
 #include "gen/randlogic.hpp"
 #include "noise/analyzer.hpp"
-#include "noise/html_report.hpp"
-#include "noise/report_writer.hpp"
-#include "noise/telemetry.hpp"
-#include "obs/metrics.hpp"
-#include "obs/resource.hpp"
-#include "obs/tracer.hpp"
 #include "sta/sta.hpp"
 #include "util/units.hpp"
 
@@ -77,102 +66,6 @@ inline gen::PipelineConfig pipeline_config(std::size_t paths) {
   cfg.coupling_cap = 28 * FF;
   cfg.seed = paths;
   return cfg;
-}
-
-/// The "bench" section appended to every bench run record: run identity
-/// (full git SHA + describe + build type), wall-clock timestamp, and the
-/// process peak RSS — the fields tools/bench_history.py keys history
-/// entries by and compares against BENCH_baseline.json.
-inline std::string bench_record_json() {
-  const obs::ResourceSample rs = obs::sample_resources();
-  const std::time_t now = std::time(nullptr);
-  char utc[32] = "unknown";
-  if (std::tm tm{}; gmtime_r(&now, &tm) != nullptr) {
-    std::strftime(utc, sizeof utc, "%Y-%m-%dT%H:%M:%SZ", &tm);
-  }
-  std::ostringstream os;
-  os << "{\"record_version\":1,\"git_sha\":\"" << obs::json_escape(obs::git_sha())
-     << "\",\"git_describe\":\"" << obs::json_escape(obs::build_version())
-     << "\",\"build_type\":\"" << obs::build_type() << "\",\"timestamp_utc\":\"" << utc
-     << "\",\"unix_time\":" << static_cast<long long>(now)
-     << ",\"peak_rss_bytes\":" << rs.peak_rss_bytes << "}";
-  return os.str();
-}
-
-/// One analysis run record in the --stats-json schema (obs::write_stats_json)
-/// for a suite case — the bench harness emits this when NW_STATS_JSON is
-/// set, so a benchmark run leaves the same machine-readable artifact as
-/// a CLI run and lands in the same trajectory comparisons. The extra
-/// "bench" section carries git SHA, timestamp, build type, and peak RSS.
-/// `design` selects the suite case: "bus64" (D1) or "logic10k" (D5, the
-/// deep-propagation case the kernel-phase timings are tracked on).
-inline void write_run_record(const std::string& path, const lib::Library& library,
-                             const std::string& design = "bus64") {
-  const gen::Generated g = design == "logic10k"
-                               ? gen::make_rand_logic(library, logic_config(10000))
-                               : gen::make_bus(library, bus_config(64));
-  const sta::Result timing = sta::run(g.design, g.para, g.sta_options);
-  noise::Options o;
-  o.mode = noise::AnalysisMode::kNoiseWindows;
-  o.clock_period = g.sta_options.clock_period;
-  const noise::Result r = noise::analyze(g.design, g.para, timing, o);
-
-  // Time the derived-artifact renderers too (rendered to discarded streams):
-  // explain of the worst violation's net and the HTML dashboard. Appended to
-  // the snapshot copy as wall-time gauges so bench_history.py can track them
-  // once a baseline containing them is written.
-  const auto timed_ms = [](const auto& fn) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-  };
-  const NetId explain_net =
-      r.violations.empty() ? NetId{0} : r.violations.front().net;
-  const double explain_ms = timed_ms(
-      [&] { (void)noise::explain_string(g.design, o, r, explain_net); });
-  const double html_ms = timed_ms([&] {
-    std::ostringstream discard;
-    noise::write_html_report(discard, g.design, o, r);
-  });
-  obs::MetricsSnapshot snapshot = r.metrics;
-  const auto timing_gauge = [](const char* name, const char* help, double ms) {
-    obs::MetricSample s;
-    s.name = name;
-    s.help = help;
-    s.unit = "ms";
-    s.kind = obs::MetricSample::Kind::kGauge;
-    s.deterministic = false;
-    s.value = ms;
-    return s;
-  };
-  snapshot.samples.push_back(
-      timing_gauge("explain_ms", "explain_string render wall time", explain_ms));
-  snapshot.samples.push_back(timing_gauge(
-      "html_report_ms", "write_html_report render wall time", html_ms));
-  // Per-kernel phase timings, in the same ms unit the render gauges use, so
-  // bench_history.py tracks each analysis stage (estimate / propagate /
-  // endpoint check) independently instead of only the total.
-  snapshot.samples.push_back(timing_gauge(
-      "estimate_ms", "injected-glitch estimation wall time",
-      r.telemetry.estimate_seconds * 1e3));
-  snapshot.samples.push_back(timing_gauge(
-      "propagate_ms", "combination + gate propagation wall time",
-      r.telemetry.propagate_seconds * 1e3));
-  snapshot.samples.push_back(timing_gauge(
-      "check_ms", "endpoint-check wall time", r.telemetry.endpoints_seconds * 1e3));
-
-  std::ofstream f(path);
-  const std::pair<std::string, std::string> extra[] = {
-      {"bench", bench_record_json()},
-      {"executor", noise::executor_stats_json(r)}};
-  // Label the record with the suite-case name ("bus64"/"logic10k"), not the
-  // generator's netlist name ("rand10000") — bench_history.py qualifies
-  // baseline metric keys by this design string.
-  obs::RunMeta meta = r.run_meta;
-  meta.design = design;
-  obs::write_stats_json(f, meta, snapshot, extra);
 }
 
 /// The full D1..D6 suite. The library must outlive the returned cases.

@@ -46,11 +46,11 @@ const char* sense_str(ArcSense s) {
   return "neg";
 }
 
-ArcSense parse_sense(std::string_view s) {
+ArcSense parse_sense(const LineReader& lr, std::string_view s) {
   if (s == "pos") return ArcSense::kPositiveUnate;
   if (s == "neg") return ArcSense::kNegativeUnate;
   if (s == "non") return ArcSense::kNonUnate;
-  throw std::runtime_error("nlib: bad arc sense '" + std::string(s) + "'");
+  lr.fail("bad arc sense '" + std::string(s) + "'");
 }
 
 const char* kind_str(CellKind k) {
@@ -62,11 +62,11 @@ const char* kind_str(CellKind k) {
   return "comb";
 }
 
-CellKind parse_kind(std::string_view s) {
+CellKind parse_kind(const LineReader& lr, std::string_view s) {
   if (s == "comb") return CellKind::kCombinational;
   if (s == "dff") return CellKind::kDff;
   if (s == "latch") return CellKind::kLatch;
-  throw std::runtime_error("nlib: bad cell kind '" + std::string(s) + "'");
+  lr.fail("bad cell kind '" + std::string(s) + "'");
 }
 
 const char* role_str(PinRole r) {
@@ -79,12 +79,12 @@ const char* role_str(PinRole r) {
   return "none";
 }
 
-PinRole parse_role(std::string_view s) {
+PinRole parse_role(const LineReader& lr, std::string_view s) {
   if (s == "none") return PinRole::kNone;
   if (s == "clock") return PinRole::kClock;
   if (s == "data") return PinRole::kData;
   if (s == "enable") return PinRole::kEnable;
-  throw std::runtime_error("nlib: bad pin role '" + std::string(s) + "'");
+  lr.fail("bad pin role '" + std::string(s) + "'");
 }
 
 /// Read `; <count numbers>` at toks[i], advancing i past them. The count
@@ -100,7 +100,7 @@ std::vector<double> take_group(LineReader& lr, std::span<const std::string_view>
   }
   std::vector<double> out;
   out.reserve(count);
-  for (std::size_t k = 0; k < count; ++k) out.push_back(nw::parse_double(toks[i++]));
+  for (std::size_t k = 0; k < count; ++k) out.push_back(lr.number(toks[i++], table));
   return out;
 }
 
@@ -108,7 +108,7 @@ std::vector<double> take_group(LineReader& lr, std::span<const std::string_view>
 Table1D parse_t1(LineReader& lr, std::span<const std::string_view> toks, std::size_t start) {
   if (start >= toks.size() || toks[start] != "t1") lr.fail("expected t1 table");
   if (start + 1 >= toks.size()) lr.fail("t1: missing size");
-  const std::size_t n = nw::parse_uint(toks[start + 1]);
+  const std::size_t n = lr.integer(toks[start + 1], "t1 size");
   std::size_t i = start + 2;
   auto axis = take_group(lr, toks, i, n, "t1");
   auto vals = take_group(lr, toks, i, n, "t1");
@@ -119,8 +119,8 @@ Table1D parse_t1(LineReader& lr, std::span<const std::string_view> toks, std::si
 Table2D parse_t2(LineReader& lr, std::span<const std::string_view> toks, std::size_t start) {
   if (start >= toks.size() || toks[start] != "t2") lr.fail("expected t2 table");
   if (start + 2 >= toks.size()) lr.fail("t2: missing sizes");
-  const std::size_t nx = nw::parse_uint(toks[start + 1]);
-  const std::size_t ny = nw::parse_uint(toks[start + 2]);
+  const std::size_t nx = lr.integer(toks[start + 1], "t2 size");
+  const std::size_t ny = lr.integer(toks[start + 2], "t2 size");
   if (ny != 0 && nx > std::numeric_limits<std::size_t>::max() / ny) {
     lr.fail("t2: size " + std::to_string(nx) + " x " + std::to_string(ny) + " overflows");
   }
@@ -171,70 +171,77 @@ Library read_library(std::istream& is) {
   if (toks.size() < 4 || toks[0] != "library" || toks[2] != "vdd") {
     lr.fail("expected 'library <name> vdd <v>'");
   }
-  Library lib(std::string(toks[1]), nw::parse_double(toks[3]));
+  Library lib(std::string(toks[1]), lr.number(toks[3], "vdd"));
 
   Cell cur;
   bool in_cell = false;
   for (toks = lr.next(); !toks.empty(); toks = lr.next()) {
-    const auto key = toks[0];
-    if (key == "end_library") return lib;
-    if (key == "cell") {
-      if (in_cell) lr.fail("nested cell");
-      if (toks.size() < 12) lr.fail("short cell header");
-      cur = Cell{};
-      cur.name = std::string(toks[1]);
-      cur.kind = parse_kind(toks[3]);
-      cur.drive_resistance = nw::parse_double(toks[5]);
-      cur.holding_resistance = nw::parse_double(toks[7]);
-      cur.setup = nw::parse_double(toks[9]);
-      cur.hold = nw::parse_double(toks[11]);
-      in_cell = true;
-    } else if (key == "pin") {
-      if (!in_cell || toks.size() < 7) lr.fail("bad pin line");
-      Pin p;
-      p.name = std::string(toks[1]);
-      p.dir = (toks[2] == "input") ? PinDir::kInput : PinDir::kOutput;
-      p.role = parse_role(toks[4]);
-      p.cap = nw::parse_double(toks[6]);
-      cur.pins.push_back(std::move(p));
-    } else if (key == "arc") {
-      if (!in_cell || toks.size() < 4) lr.fail("bad arc line");
-      TimingArc arc;
-      arc.from_pin = nw::parse_uint(toks[1]);
-      arc.to_pin = nw::parse_uint(toks[2]);
-      if (arc.from_pin >= cur.pins.size() || arc.to_pin >= cur.pins.size()) {
-        lr.fail("arc pin index out of range (cell '" + cur.name + "' has " +
-                std::to_string(cur.pins.size()) + " pins so far)");
+    // Tables and the library refuse bad contents (an axis out of order,
+    // a duplicate cell) with std::invalid_argument; report it with the
+    // line it came from.
+    try {
+      const auto key = toks[0];
+      if (key == "end_library") return lib;
+      if (key == "cell") {
+        if (in_cell) lr.fail("nested cell");
+        if (toks.size() < 12) lr.fail("short cell header");
+        cur = Cell{};
+        cur.name = std::string(toks[1]);
+        cur.kind = parse_kind(lr, toks[3]);
+        cur.drive_resistance = lr.number(toks[5], "drive");
+        cur.holding_resistance = lr.number(toks[7], "holdres");
+        cur.setup = lr.number(toks[9], "setup");
+        cur.hold = lr.number(toks[11], "holdt");
+        in_cell = true;
+      } else if (key == "pin") {
+        if (!in_cell || toks.size() < 7) lr.fail("bad pin line");
+        Pin p;
+        p.name = std::string(toks[1]);
+        p.dir = (toks[2] == "input") ? PinDir::kInput : PinDir::kOutput;
+        p.role = parse_role(lr, toks[4]);
+        p.cap = lr.number(toks[6], "cap");
+        cur.pins.push_back(std::move(p));
+      } else if (key == "arc") {
+        if (!in_cell || toks.size() < 4) lr.fail("bad arc line");
+        TimingArc arc;
+        arc.from_pin = lr.integer(toks[1], "arc from pin");
+        arc.to_pin = lr.integer(toks[2], "arc to pin");
+        if (arc.from_pin >= cur.pins.size() || arc.to_pin >= cur.pins.size()) {
+          lr.fail("arc pin index out of range (cell '" + cur.name + "' has " +
+                  std::to_string(cur.pins.size()) + " pins so far)");
+        }
+        arc.sense = parse_sense(lr, toks[3]);
+        auto t = lr.next();
+        if (t.empty() || t[0] != "delay_rise") lr.fail("expected delay_rise");
+        arc.delay_rise = parse_t2(lr, t, 1);
+        t = lr.next();
+        if (t.empty() || t[0] != "delay_fall") lr.fail("expected delay_fall");
+        arc.delay_fall = parse_t2(lr, t, 1);
+        t = lr.next();
+        if (t.empty() || t[0] != "slew_rise") lr.fail("expected slew_rise");
+        arc.slew_rise = parse_t2(lr, t, 1);
+        t = lr.next();
+        if (t.empty() || t[0] != "slew_fall") lr.fail("expected slew_fall");
+        arc.slew_fall = parse_t2(lr, t, 1);
+        cur.arcs.push_back(std::move(arc));
+      } else if (key == "immunity") {
+        if (!in_cell) lr.fail("immunity outside cell");
+        cur.immunity.threshold_vs_width = parse_t1(lr, toks, 1);
+      } else if (key == "prop_peak") {
+        if (!in_cell) lr.fail("prop_peak outside cell");
+        cur.propagation.out_peak = parse_t2(lr, toks, 1);
+      } else if (key == "prop_width") {
+        if (!in_cell) lr.fail("prop_width outside cell");
+        cur.propagation.out_width = parse_t2(lr, toks, 1);
+      } else if (key == "end_cell") {
+        if (!in_cell) lr.fail("end_cell outside cell");
+        lib.add_cell(std::move(cur));
+        in_cell = false;
+      } else {
+        lr.fail("unknown keyword '" + std::string(key) + "'");
       }
-      arc.sense = parse_sense(toks[3]);
-      auto t = lr.next();
-      if (t.empty() || t[0] != "delay_rise") lr.fail("expected delay_rise");
-      arc.delay_rise = parse_t2(lr, t, 1);
-      t = lr.next();
-      if (t.empty() || t[0] != "delay_fall") lr.fail("expected delay_fall");
-      arc.delay_fall = parse_t2(lr, t, 1);
-      t = lr.next();
-      if (t.empty() || t[0] != "slew_rise") lr.fail("expected slew_rise");
-      arc.slew_rise = parse_t2(lr, t, 1);
-      t = lr.next();
-      if (t.empty() || t[0] != "slew_fall") lr.fail("expected slew_fall");
-      arc.slew_fall = parse_t2(lr, t, 1);
-      cur.arcs.push_back(std::move(arc));
-    } else if (key == "immunity") {
-      if (!in_cell) lr.fail("immunity outside cell");
-      cur.immunity.threshold_vs_width = parse_t1(lr, toks, 1);
-    } else if (key == "prop_peak") {
-      if (!in_cell) lr.fail("prop_peak outside cell");
-      cur.propagation.out_peak = parse_t2(lr, toks, 1);
-    } else if (key == "prop_width") {
-      if (!in_cell) lr.fail("prop_width outside cell");
-      cur.propagation.out_width = parse_t2(lr, toks, 1);
-    } else if (key == "end_cell") {
-      if (!in_cell) lr.fail("end_cell outside cell");
-      lib.add_cell(std::move(cur));
-      in_cell = false;
-    } else {
-      lr.fail("unknown keyword '" + std::string(key) + "'");
+    } catch (const std::invalid_argument& e) {
+      lr.fail(e.what());
     }
   }
   lr.fail("missing end_library");

@@ -894,14 +894,20 @@ class Pipeline {
       }
       p.shares.push_back(std::move(s));
     }
+    // Equal peaks rank by net name, not id, so that renumbering the nets
+    // keeps the order. Injected shares come before propagated ones.
+    const auto name_less = [&](NetId a, NetId b) {
+      if (a.valid() != b.valid()) return a.valid();
+      return a.valid() && design_.net(a).name < design_.net(b).name;
+    };
     std::sort(p.shares.begin(), p.shares.end(),
-              [](const AggressorShare& a, const AggressorShare& b) {
+              [&](const AggressorShare& a, const AggressorShare& b) {
                 const bool aw = a.verdict == WindowVerdict::kInWorst;
                 const bool bw = b.verdict == WindowVerdict::kInWorst;
                 if (aw != bw) return aw;
                 if (a.peak != b.peak) return a.peak > b.peak;
-                if (a.aggressor != b.aggressor) return a.aggressor < b.aggressor;
-                return a.from_net < b.from_net;
+                if (a.aggressor != b.aggressor) return name_less(a.aggressor, b.aggressor);
+                return name_less(a.from_net, b.from_net);
               });
 
     // Propagation path: follow the strongest in-worst propagated member of

@@ -60,6 +60,11 @@ enum class AnalysisMode { kNoFiltering, kSwitchingWindows, kNoiseWindows };
 
 [[nodiscard]] const char* to_string(AnalysisMode m) noexcept;
 
+/// The ranges the CLI flags and session options accept for Options fields.
+inline constexpr unsigned kMaxThreads = 1024;
+inline constexpr unsigned kMaxRefineIterations = 64;
+inline constexpr double kMaxClockPeriod = 1.0;  ///< [s]
+
 struct Options {
   AnalysisMode mode = AnalysisMode::kNoiseWindows;
   GlitchModel model = GlitchModel::kTwoPi;
@@ -173,7 +178,7 @@ struct Provenance {
   double peak_in_sensitivity = 0.0;
   FilterStage culled_by = FilterStage::kNone;
   Interval alignment;  ///< worst-alignment interval of the endpoint check
-  /// Ranked: in-worst shares first, then peak descending, then net id.
+  /// Ranked: in-worst shares first, then peak descending, then net name.
   std::vector<AggressorShare> shares;
   /// Endpoint net first, injection net last (strongest propagated member
   /// followed at each hop — the same walk as trace_origin).

@@ -21,7 +21,7 @@ AnalysisContext AnalysisContext::build(const net::Design& design,
 
   // Coupling-graph adjacency, built straight into CSR rows: per victim,
   // the coupling caps are stable-sorted by aggressor and summed run by run
-  // (the per-aggressor summation follows coupling storage order), then
+  // (each run in the ascending order couplings_of lists them), then
   // pre-filtered against the threshold. Two passes — count, then fill —
   // so the slabs are allocated once at their exact size.
   std::vector<std::pair<NetId::value_type, double>> row;

@@ -45,8 +45,8 @@ struct AnalysisContext {
   double vdd = 0.0;
 
   // --- CSR aggressor adjacency (victim-major; row vi = net vi) ---
-  // Per victim, the coupling caps to each aggressor summed in coupling
-  // storage order and pre-filtered against Options::min_coupling_cap.
+  // Per victim, the coupling caps to each aggressor summed in ascending
+  // order and pre-filtered against Options::min_coupling_cap.
   // Sorted by aggressor id within each row, so estimation order (and
   // therefore contribution order and scan-line tie-breaking) is
   // deterministic.

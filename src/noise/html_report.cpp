@@ -104,16 +104,15 @@ void write_timelines(std::ostream& os, const net::Design& design, const Result& 
 void write_pareto(std::ostream& os, const net::Design& design, const Result& r,
                   std::size_t top_k) {
   // Total in-worst injected noise per aggressor net across every violation
-  // (map keyed by net id => deterministic iteration order).
-  std::map<NetId::value_type, double> totals;
+  // (map keyed by net name => ties rank by name, whatever the numbering).
+  std::map<std::string, double> totals;
   for (const Provenance& p : r.provenance) {
     for (const AggressorShare& s : p.shares) {
       if (s.verdict != WindowVerdict::kInWorst || s.is_propagated()) continue;
-      totals[s.aggressor.value()] += s.peak;
+      totals[design.net(s.aggressor).name] += s.peak;
     }
   }
-  std::vector<std::pair<NetId::value_type, double>> ranked(totals.begin(),
-                                                           totals.end());
+  std::vector<std::pair<std::string, double>> ranked(totals.begin(), totals.end());
   std::stable_sort(ranked.begin(), ranked.end(),
                    [](const auto& a, const auto& b) { return a.second > b.second; });
   os << "<section id=\"pareto\">\n<h2>Aggressor Pareto (in-worst noise summed over "
@@ -125,7 +124,7 @@ void write_pareto(std::ostream& os, const net::Design& design, const Result& r,
     std::vector<report::Bar> bars;
     for (std::size_t i = 0; i < ranked.size() && i < top_k; ++i) {
       report::Bar b;
-      b.label = design.net(NetId{ranked[i].first}).name;
+      b.label = ranked[i].first;
       b.value = ranked[i].second;
       b.value_text = report::fmt_mv(ranked[i].second);
       bars.push_back(std::move(b));

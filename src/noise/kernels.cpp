@@ -13,14 +13,19 @@ Combined combine_flat(std::span<const Contribution> contributions, AnalysisMode 
   Combined out;
   const bool injected_only = view == CombineView::kInjectedOnly;
   if (mode == AnalysisMode::kNoFiltering && constraints.empty()) {
-    // Everything coincides, always. Summation in (compacted) index order.
+    // Everything coincides, always. The peaks are summed in ascending
+    // order, so the sum does not depend on the order of the contributions
+    // (aggressor ids, which a renumbering of the nets changes).
+    s.weight.clear();
     std::size_t j = 0;
     for (const auto& c : contributions) {
       if (injected_only && c.is_propagated()) continue;
-      out.peak += c.peak;
+      s.weight.push_back(c.peak);
       out.width = std::max(out.width, c.width);
       out.active.push_back(j++);
     }
+    std::sort(s.weight.begin(), s.weight.end());
+    for (const double w : s.weight) out.peak += w;
     out.alignment = Interval::everything();
     return out;
   }

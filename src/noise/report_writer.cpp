@@ -4,11 +4,35 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "noise/trace.hpp"
 #include "report/table.hpp"
 
 namespace nw::noise {
+
+namespace {
+
+/// The nets whose `value(i)` is positive, the `limit` largest first. Ties
+/// rank by net name, so the rows do not depend on net numbering.
+template <typename Value>
+std::vector<std::size_t> top_nets(const net::Design& design, std::size_t n,
+                                  std::size_t limit, Value value) {
+  std::vector<std::size_t> order;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (value(i) > 0.0) order.push_back(i);
+  }
+  const std::size_t rows = std::min(order.size(), limit);
+  std::partial_sort(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(rows),
+                    order.end(), [&](std::size_t a, std::size_t b) {
+                      if (value(a) != value(b)) return value(a) > value(b);
+                      return design.net(NetId{a}).name < design.net(NetId{b}).name;
+                    });
+  order.resize(rows);
+  return order;
+}
+
+}  // namespace
 
 void write_report(std::ostream& os, const net::Design& design, const Options& opt,
                   const Result& result, const ReportOptions& ropt) {
@@ -23,12 +47,13 @@ void write_report(std::ostream& os, const net::Design& design, const Options& op
      << "   noisy nets: " << result.noisy_nets << "\n\n";
 
   if (!result.violations.empty()) {
-    // Violations worst-slack first.
+    // Violations worst-slack first, ties by endpoint name.
     std::vector<const Violation*> sorted;
     sorted.reserve(result.violations.size());
     for (const auto& v : result.violations) sorted.push_back(&v);
-    std::sort(sorted.begin(), sorted.end(), [](const Violation* a, const Violation* b) {
-      return a->slack() < b->slack();
+    std::sort(sorted.begin(), sorted.end(), [&](const Violation* a, const Violation* b) {
+      if (a->slack() != b->slack()) return a->slack() < b->slack();
+      return design.pin_name(a->endpoint) < design.pin_name(b->endpoint);
     });
 
     report::TextTable t(ropt.include_windows
@@ -67,17 +92,11 @@ void write_report(std::ostream& os, const net::Design& design, const Options& op
   }
 
   // Worst nets by total peak.
-  std::vector<std::size_t> order(result.nets.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return result.nets[a].total_peak > result.nets[b].total_peak;
-  });
   report::TextTable worst({"net", "aggressors", "injected", "propagated", "total",
                            "width", "worst alignment"});
-  std::size_t rows = 0;
-  for (const auto i : order) {
+  for (const auto i : top_nets(design, result.nets.size(), ropt.max_noisy_nets,
+                               [&](std::size_t n) { return result.nets[n].total_peak; })) {
     const NetNoise& nn = result.nets[i];
-    if (nn.total_peak <= 0.0 || rows++ >= ropt.max_noisy_nets) break;
     worst.add_row({design.net(NetId{i}).name, std::to_string(nn.aggressor_count),
                    report::fmt_mv(nn.injected_peak), report::fmt_mv(nn.propagated_peak),
                    report::fmt_mv(nn.total_peak), report::fmt_ps(nn.width),
@@ -100,16 +119,10 @@ void write_delay_impact(std::ostream& os, const net::Design& design,
   os << "affected nets: " << impact.affected_nets
      << "   total delta: " << report::fmt_ps(impact.total_delta)
      << "   max delta: " << report::fmt_ps(impact.max_delta) << "\n";
-  std::vector<std::size_t> order(impact.nets.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return impact.nets[a].delta_delay > impact.nets[b].delta_delay;
-  });
   report::TextTable t({"net", "aligned peak", "delta delay"});
-  std::size_t rows = 0;
-  for (const auto i : order) {
+  for (const auto i : top_nets(design, impact.nets.size(), max_rows,
+                               [&](std::size_t n) { return impact.nets[n].delta_delay; })) {
     const DelayImpact& di = impact.nets[i];
-    if (di.delta_delay <= 0.0 || rows++ >= max_rows) break;
     t.add_row({design.net(NetId{i}).name, report::fmt_mv(di.peak_during_transition),
                report::fmt_ps(di.delta_delay)});
   }

@@ -1,5 +1,6 @@
 #include "parasitics/rcnet.hpp"
 
+#include <algorithm>
 #include <vector>
 
 namespace nw::para {
@@ -96,26 +97,29 @@ std::size_t Parasitics::add_coupling(NetId a, std::uint32_t node_a, NetId b,
     throw std::out_of_range("Parasitics::add_coupling: node index");
   }
   if (c <= 0.0) throw std::invalid_argument("Parasitics::add_coupling: non-positive cap");
-  const std::size_t idx = caps_.size();
   caps_.push_back({a, node_a, b, node_b, c});
-  incident_.at(a.index()).push_back(idx);
-  incident_.at(b.index()).push_back(idx);
-  return idx;
+  link(caps_.size() - 1);
+  return caps_.size() - 1;
+}
+
+void Parasitics::link(std::size_t idx) {
+  const CouplingCap& cc = caps_[idx];
+  for (const NetId n : {cc.net_a, cc.net_b}) {
+    auto& inc = incident_.at(n.index());
+    inc.insert(std::upper_bound(inc.begin(), inc.end(), cc.c,
+                                [&](double c, std::size_t i) { return c < caps_[i].c; }),
+               idx);
+  }
+}
+
+void Parasitics::unlink(std::size_t idx) {
+  std::erase(incident_.at(caps_[idx].net_a.index()), idx);
+  std::erase(incident_.at(caps_[idx].net_b.index()), idx);
 }
 
 void Parasitics::pop_coupling() {
   if (caps_.empty()) throw std::logic_error("Parasitics::pop_coupling: no couplings");
-  const std::size_t idx = caps_.size() - 1;
-  const CouplingCap& cc = caps_.back();
-  // add_coupling appends the new index to both incidence lists, so the
-  // latest coupling is necessarily at their backs.
-  auto& ia = incident_.at(cc.net_a.index());
-  auto& ib = incident_.at(cc.net_b.index());
-  if (ia.empty() || ia.back() != idx || ib.empty() || ib.back() != idx) {
-    throw std::logic_error("Parasitics::pop_coupling: incidence out of sync");
-  }
-  ia.pop_back();
-  ib.pop_back();
+  unlink(caps_.size() - 1);
   caps_.pop_back();
 }
 
@@ -127,7 +131,9 @@ double Parasitics::set_coupling_value(std::size_t index, double c) {
     throw std::invalid_argument("Parasitics::set_coupling_value: non-positive cap");
   }
   const double old = caps_[index].c;
+  unlink(index);
   caps_[index].c = c;
+  link(index);
   return old;
 }
 

@@ -107,9 +107,9 @@ class Parasitics {
   std::size_t add_coupling(NetId a, std::uint32_t node_a, NetId b,
                            std::uint32_t node_b, double c);
 
-  /// ECO: change an existing coupling cap's value in place (the incidence
-  /// structure is untouched). Returns the previous value (the inverse
-  /// edit). Throws std::out_of_range on a bad index and
+  /// ECO: change an existing coupling cap's value in place (its index is
+  /// kept; the two incidence lists re-sort it). Returns the previous value
+  /// (the inverse edit). Throws std::out_of_range on a bad index and
   /// std::invalid_argument on a non-positive value.
   double set_coupling_value(std::size_t index, double c);
 
@@ -127,7 +127,10 @@ class Parasitics {
   }
   [[nodiscard]] const CouplingCap& coupling(std::size_t i) const { return caps_.at(i); }
 
-  /// Indices of coupling caps incident to a net.
+  /// Indices of coupling caps incident to a net, in ascending order of
+  /// capacitance (ties in insertion order). Every sum over them is then
+  /// taken in an order that does not depend on how the couplings were
+  /// stored or oriented.
   [[nodiscard]] std::span<const std::size_t> couplings_of(NetId id) const {
     return incident_.at(id.index());
   }
@@ -145,6 +148,10 @@ class Parasitics {
   [[nodiscard]] std::size_t memory_bytes() const noexcept;
 
  private:
+  /// Insert / remove coupling `idx` in its two nets' incidence lists.
+  void link(std::size_t idx);
+  void unlink(std::size_t idx);
+
   std::vector<RcNet> nets_;
   std::vector<CouplingCap> caps_;
   std::vector<std::vector<std::size_t>> incident_;

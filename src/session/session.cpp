@@ -1,7 +1,6 @@
 #include "session/session.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <optional>
 #include <utility>
@@ -9,6 +8,7 @@
 #include "obs/memtrack.hpp"
 #include "obs/resource.hpp"
 #include "obs/tracer.hpp"
+#include "util/strings.hpp"
 #include "util/units.hpp"
 
 namespace nw::session {
@@ -16,22 +16,6 @@ namespace nw::session {
 namespace {
 
 constexpr const char* kUnit = "";
-
-std::optional<std::uint64_t> parse_uint(const std::string& s) {
-  std::uint64_t v = 0;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
-  return v;
-}
-
-std::optional<double> parse_double(const std::string& s) {
-  double v = 0.0;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || ptr != s.data() + s.size() || !std::isfinite(v)) {
-    return std::nullopt;
-  }
-  return v;
-}
 
 std::optional<noise::AnalysisMode> parse_mode(const std::string& s) {
   if (s == "no-filtering") return noise::AnalysisMode::kNoFiltering;
@@ -360,26 +344,14 @@ void Session::set_option(const std::string& name, const std::string& value) {
     }
     cfg_.noise.model = *m;
   } else if (name == "threads") {
-    const auto v = parse_uint(value);
-    if (!v || *v > 1024) {
-      throw std::invalid_argument("set_option threads: '" + value +
-                                  "' (expected an integer in [0, 1024])");
-    }
-    cfg_.noise.threads = static_cast<int>(*v);
+    cfg_.noise.threads =
+        static_cast<int>(parse_uint_in(value, noise::kMaxThreads, "set_option threads"));
   } else if (name == "refine") {
-    const auto v = parse_uint(value);
-    if (!v || *v > 64) {
-      throw std::invalid_argument("set_option refine: '" + value +
-                                  "' (expected an integer in [0, 64])");
-    }
-    cfg_.noise.refine_iterations = static_cast<int>(*v);
+    cfg_.noise.refine_iterations = static_cast<int>(
+        parse_uint_in(value, noise::kMaxRefineIterations, "set_option refine"));
   } else if (name == "period") {
-    const auto v = parse_double(value);
-    if (!v || *v <= 0.0) {
-      throw std::invalid_argument("set_option period: '" + value +
-                                  "' (expected a positive number of seconds)");
-    }
-    cfg_.noise.clock_period = *v;
+    cfg_.noise.clock_period =
+        parse_positive_in(value, noise::kMaxClockPeriod, "set_option period");
   } else {
     throw std::invalid_argument(
         "set_option: unknown option '" + name +

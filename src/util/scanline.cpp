@@ -14,10 +14,13 @@ ScanResult scan_events_max_overlap(std::vector<ScanEvent>& events,
 
   // Closed intervals: at a shared endpoint, opens must be processed before
   // closes so that a point where one window ends exactly as another begins
-  // counts both.
-  std::sort(events.begin(), events.end(), [](const ScanEvent& a, const ScanEvent& b) {
+  // counts both. Remaining ties go by weight, so the running sum adds and
+  // subtracts in an order fixed by the values, not by the item numbering
+  // (equal weights add equal numbers, so their order does not matter).
+  std::sort(events.begin(), events.end(), [&](const ScanEvent& a, const ScanEvent& b) {
     if (a.t != b.t) return a.t < b.t;
-    return a.open > b.open;
+    if (a.open != b.open) return a.open > b.open;
+    return weights[a.item] < weights[b.item];
   });
 
   double sum = 0.0;
@@ -132,9 +135,10 @@ ScanResult scan_events_max_overlap_grouped(std::vector<ScanEvent>& events,
 
   ScanResult best;
   if (events.empty()) return best;
-  std::sort(events.begin(), events.end(), [](const ScanEvent& a, const ScanEvent& b) {
+  std::sort(events.begin(), events.end(), [&](const ScanEvent& a, const ScanEvent& b) {
     if (a.t != b.t) return a.t < b.t;
-    return a.open > b.open;
+    if (a.open != b.open) return a.open > b.open;
+    return weights[a.item] < weights[b.item];
   });
 
   // Per-group ordered multiset of active weights; objective maintains

@@ -48,9 +48,10 @@ struct ScanResult {
 [[nodiscard]] ScanResult scan_max_overlap(std::span<const WeightedWindow> items);
 
 /// Core of scan_max_overlap over caller-built events: sorts `events` in
-/// place (by time, opens before closes) and sweeps. `weights[i]` is the
-/// weight of contribution i; events must only reference items <
-/// weights.size(). Contributions without events never participate.
+/// place (by time, opens before closes, then by weight) and sweeps.
+/// `weights[i]` is the weight of contribution i; events must only
+/// reference items < weights.size(). Contributions without events never
+/// participate.
 [[nodiscard]] ScanResult scan_events_max_overlap(std::vector<ScanEvent>& events,
                                                  std::span<const double> weights);
 

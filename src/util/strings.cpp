@@ -4,6 +4,7 @@
 #include <cmath>
 #include <istream>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 
 namespace nw {
@@ -61,6 +62,28 @@ unsigned long parse_uint(std::string_view s) {
   const auto [ptr, ec] = std::from_chars(begin, end, v);
   if (ec != std::errc{} || ptr != end) {
     throw std::invalid_argument("parse_uint: bad integer '" + std::string(s) + "'");
+  }
+  return v;
+}
+
+unsigned long parse_uint_in(std::string_view s, unsigned long max, std::string_view what) {
+  unsigned long v = 0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc{} || ptr != s.data() + s.size() || v > max) {
+    throw std::invalid_argument(std::string(what) + ": '" + std::string(s) +
+                                "' (expected an integer in [0, " + std::to_string(max) +
+                                "])");
+  }
+  return v;
+}
+
+double parse_positive_in(std::string_view s, double max, std::string_view what) {
+  double v = 0.0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc{} || ptr != s.data() + s.size() || !(v > 0.0 && v <= max)) {
+    std::ostringstream os;
+    os << what << ": '" << s << "' (expected a number in (0, " << max << "])";
+    throw std::invalid_argument(os.str());
   }
   return v;
 }

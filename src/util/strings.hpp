@@ -34,6 +34,14 @@ void split(std::string_view s, std::vector<std::string_view>& out,
 /// Parse a non-negative integer; throws std::invalid_argument on failure.
 [[nodiscard]] unsigned long parse_uint(std::string_view s);
 
+/// The one rule for a numeric setting (a CLI flag, a session option): an
+/// integer in [0, max], or a number in (0, max]. Anything else throws
+/// std::invalid_argument "<what>: '<s>' (expected ... in <range>)".
+[[nodiscard]] unsigned long parse_uint_in(std::string_view s, unsigned long max,
+                                          std::string_view what);
+[[nodiscard]] double parse_positive_in(std::string_view s, double max,
+                                       std::string_view what);
+
 /// A count argument (a result limit, a sample count) given as a number:
 /// nullopt unless `v` is a non-negative integer. Values past size_t
 /// saturate (every count caps a collection size), so nothing is cast out

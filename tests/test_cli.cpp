@@ -1,6 +1,7 @@
 // The noisewin CLI driver, exercised in-process (file and demo flows).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -219,10 +220,52 @@ TEST(Cli, ProfileHzRejectsJunkAndOutOfRangeValues) {
   EXPECT_EQ(run({"--demo", "bus", "--profile-hz", "abc"}, nullptr, &err), 1);
   EXPECT_NE(err.find("noisewin:"), std::string::npos) << err;
   EXPECT_EQ(run({"--demo", "bus", "--profile-hz", "99999"}, nullptr, &err), 1);
-  EXPECT_NE(err.find("--profile-hz 99999 too high (max 20000)"),
+  EXPECT_NE(err.find("--profile-hz: '99999' (expected an integer in [0, 20000])"),
             std::string::npos)
       << err;
   EXPECT_EQ(run({"--demo", "bus", "--profile-hz"}, nullptr, &err), 1);  // no value
+}
+
+// Numeric flags follow the session options' rule: the parser refuses an
+// out-of-range value with one named error. Every case ends in an unknown
+// flag, so a value the parser wrongly accepted would still never start an
+// analysis or a daemon.
+TEST(Cli, NumericFlagsRefuseOutOfRangeValues) {
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases = {
+      {{"--threads", "4294967298"},
+       "--threads: '4294967298' (expected an integer in [0, 1024])"},
+      {{"--threads", "1025"}, "--threads: '1025' (expected an integer in [0, 1024])"},
+      {{"--refine", "4294967297"},
+       "--refine: '4294967297' (expected an integer in [0, 64])"},
+      {{"--period", "-1"}, "--period: '-1' (expected a number in (0, 1])"},
+      {{"--period", "0"}, "--period: '0' (expected a number in (0, 1])"},
+      {{"--period", "1e300"}, "--period: '1e300' (expected a number in (0, 1])"},
+      {{"--period", "nan"}, "--period: 'nan' (expected a number in (0, 1])"},
+      {{"daemon", "--analysis-slots", "2147483648"},
+       "--analysis-slots: '2147483648' (expected an integer in [0, 2147483647])"},
+      {{"daemon", "--max-connections", "4294967296"},
+       "--max-connections: '4294967296' (expected an integer in [0, 2147483647])"},
+      {{"daemon", "--max-queued", "-1"},
+       "--max-queued: '-1' (expected an integer in [0, 2147483647])"},
+      {{"daemon", "--max-waiters", "2147483648"},
+       "--max-waiters: '2147483648' (expected an integer in [0, 2147483647])"},
+      {{"daemon", "--idle-timeout", "9999999999"},
+       "--idle-timeout: '9999999999' (expected an integer in [0, 2147483647])"},
+      {{"daemon", "--sample-ms", "2147483648"},
+       "--sample-ms: '2147483648' (expected an integer in [0, 2147483647])"},
+      {{"daemon", "--sample-cap", "4294967297"},
+       "--sample-cap: '4294967297' (expected an integer in [0, 2147483647])"},
+  };
+  for (const auto& [flag_args, message] : cases) {
+    std::vector<std::string> args = flag_args;
+    const auto flag = std::find_if(args.begin(), args.end(),
+                                   [](const std::string& a) { return a.starts_with("--"); });
+    args.insert(flag, {"--demo", "bus"});
+    args.push_back("--bogus");
+    std::string err;
+    EXPECT_EQ(run(args, nullptr, &err), 1) << message;
+    EXPECT_EQ(err.rfind("noisewin: " + message + "\n", 0), 0u) << err;
+  }
 }
 
 TEST(Cli, ProfileOutWritesFoldedArtifactWithoutChangingTheReport) {

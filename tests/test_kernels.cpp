@@ -296,11 +296,16 @@ Combined scalar_combine(std::span<const Contribution> cs, AnalysisMode mode,
                         const Interval& restrict_to, const Constraints& constraints) {
   Combined out;
   if (mode == AnalysisMode::kNoFiltering && constraints.empty()) {
+    // Every window coincides: the sum of all peaks, taken in ascending
+    // order as the scan adds simultaneous opens.
+    std::vector<double> peaks;
     for (std::size_t i = 0; i < cs.size(); ++i) {
-      out.peak += cs[i].peak;
+      peaks.push_back(cs[i].peak);
       out.width = std::max(out.width, cs[i].width);
       out.active.push_back(i);
     }
+    std::sort(peaks.begin(), peaks.end());
+    for (const double p : peaks) out.peak += p;
     out.alignment = Interval::everything();
     return out;
   }

@@ -143,5 +143,25 @@ TEST(LibertyIo, ArcPinOutOfRangeIsNamedError) {
             std::string::npos);
 }
 
+// Malformed numbers and table contents fail as std::runtime_error naming the
+// line and the field, like the .nv and .nwspef readers.
+TEST(LibertyIo, BadNumbersAreNamedLineErrors) {
+  EXPECT_EQ(read_error("library x vdd abc\n").rfind("nlib line 1: vdd: ", 0), 0u);
+  EXPECT_THROW((void)read_library_string("library x vdd abc\n"), std::runtime_error);
+  const std::string bad_cap = read_error(with_line("pin ", "pin A input role none cap nan"));
+  EXPECT_NE(bad_cap.find("nlib line "), std::string::npos) << bad_cap;
+  EXPECT_NE(bad_cap.find("cap: "), std::string::npos) << bad_cap;
+  EXPECT_NE(read_error(with_line("arc ", "arc x 0 neg")).find("arc from pin: "),
+            std::string::npos);
+  EXPECT_NE(read_error(with_line("immunity", "immunity t1 2 ; 1 zz ; 1 1")).find("t1: "),
+            std::string::npos);
+  EXPECT_NE(read_error(with_line("arc ", "arc 0 1 sideways")).find("bad arc sense"),
+            std::string::npos);
+  // A table the Table constructor refuses (axis out of order).
+  const std::string unordered = read_error(with_line("immunity", "immunity t1 2 ; 2 1 ; 1 1"));
+  EXPECT_NE(unordered.find("nlib line "), std::string::npos) << unordered;
+  EXPECT_NE(unordered.find("not strictly increasing"), std::string::npos) << unordered;
+}
+
 }  // namespace
 }  // namespace nw::lib

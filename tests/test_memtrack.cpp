@@ -14,6 +14,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gen/bus.hpp"
@@ -307,6 +308,55 @@ TEST(MemtrackStats, MemReportTableRendersEveryAccount) {
         "result", "tracked total", "process rss"}) {
     EXPECT_NE(text.find(name), std::string::npos) << name;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Byte budgets: the owner accounts of one serial CLI analysis of the D5
+// logic10k demo. The bytes are deterministic, so each peak is held to a
+// named ceiling (the bytes measured when the budget was set, plus under
+// 10%), and a second run must charge exactly the same bytes.
+
+constexpr std::uint64_t kDesignBudget = 6'417'000;
+constexpr std::uint64_t kParasiticsBudget = 1'488'000;
+constexpr std::uint64_t kStaBudget = 2'307'000;
+constexpr std::uint64_t kAnalysisContextBudget = 863'000;
+constexpr std::uint64_t kKernelBuffersBudget = 307'000;
+constexpr std::uint64_t kResultBudget = 3'368'000;
+
+TEST(MemtrackBudget, Logic10kAccountPeaksStayWithinBudget) {
+  const EnabledGuard guard;
+  MemTracker::set_enabled(true);
+  const std::pair<MemAccountId, std::uint64_t> budgets[] = {
+      {MemAccountId::kDesign, kDesignBudget},
+      {MemAccountId::kParasitics, kParasiticsBudget},
+      {MemAccountId::kSta, kStaBudget},
+      {MemAccountId::kAnalysisContext, kAnalysisContextBudget},
+      {MemAccountId::kKernelBuffers, kKernelBuffersBudget},
+      {MemAccountId::kResult, kResultBudget},
+  };
+  const auto run_peaks = [&] {
+    for (const auto& [id, budget] : budgets) {
+      // Nothing holds these accounts between analyses, so forgetting the
+      // high-water marks loses no charge.
+      EXPECT_EQ(MemTracker::account(id).current(), 0u) << obs::to_string(id);
+      MemTracker::account(id).reset();
+    }
+    std::ostringstream out;
+    std::ostringstream err;
+    const std::vector<std::string> args = {"--demo", "logic10k", "--threads", "1"};
+    const int rc = cli::run_cli(args, out, err);
+    EXPECT_TRUE(rc == 0 || rc == 2) << err.str();
+    std::vector<std::uint64_t> peaks;
+    for (const auto& [id, budget] : budgets) peaks.push_back(MemTracker::account(id).peak());
+    return peaks;
+  };
+  const std::vector<std::uint64_t> first = run_peaks();
+  for (std::size_t i = 0; i < std::size(budgets); ++i) {
+    const auto& [id, budget] = budgets[i];
+    EXPECT_GT(first[i], 0u) << obs::to_string(id);
+    EXPECT_LE(first[i], budget) << obs::to_string(id);
+  }
+  EXPECT_EQ(run_peaks(), first);
 }
 
 }  // namespace

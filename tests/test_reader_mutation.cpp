@@ -1,4 +1,4 @@
-// Mutation smoke test for the .nv and .nwspef readers.
+// Mutation smoke test for the .nlib, .nv and .nwspef readers.
 //
 // A fixed-seed, fixed-budget run: each mutant of a small, valid fixture
 // (byte flips, token swaps, truncations, huge or degenerate numbers, and
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "gen/randlogic.hpp"
+#include "library/liberty_io.hpp"
 #include "library/library.hpp"
 #include "netlist/verilog.hpp"
 #include "parasitics/spef.hpp"
@@ -109,10 +110,17 @@ std::string mutate(const std::string& text, Rng& rng) {
 struct Fixture {
   lib::Library library = lib::default_library();
   gen::Generated g;
+  std::string nlib;
   std::string nv;
   std::string spef;
 
   Fixture() : g(gen::make_rand_logic(library, small())) {
+    // Two cells, one of each kind, keep the .nlib text as small as the
+    // other two fixtures.
+    lib::Library two(library.name(), library.vdd());
+    two.add_cell(library.require("NAND2_X1"));
+    two.add_cell(library.require("DFF_X1"));
+    nlib = lib::write_library_string(two);
     nv = net::write_netlist_string(g.design);
     spef = para::write_spef_string(g.design, g.para);
   }
@@ -148,6 +156,15 @@ int run_mutants(const std::string& text, std::uint64_t seed, Parse&& parse) {
     }
   }
   return parsed;
+}
+
+TEST(ReaderMutation, LibraryMutantsParseOrThrowRuntimeError) {
+  const Fixture f;
+  const int parsed = run_mutants(f.nlib, 0x5eed0003, [&](const std::string& text) {
+    (void)lib::read_library_string(text);
+  });
+  EXPECT_GT(parsed, 0);
+  EXPECT_LT(parsed, kMutantsPerFormat);
 }
 
 TEST(ReaderMutation, NetlistMutantsParseOrThrowRuntimeError) {

@@ -257,6 +257,40 @@ TEST(Session, FailedEditsLeaveStateUntouched) {
   expect_bit_identical(s.result(), snapshot);
 }
 
+// Numeric options share the CLI flags' rule: one named range each, and a
+// refused value leaves the options untouched.
+TEST(Session, NumericOptionsRefuseOutOfRangeValues) {
+  Session s = make_session();
+  const std::pair<const char*, const char*> bad[] = {
+      {"threads", "1025"},   {"threads", "4294967298"}, {"threads", "-1"},
+      {"threads", "2.5"},    {"refine", "65"},          {"refine", "4294967297"},
+      {"period", "-1"},      {"period", "0"},           {"period", "1e300"},
+      {"period", "nan"},     {"period", "inf"},         {"period", "abc"}};
+  for (const auto& [name, value] : bad) {
+    try {
+      s.set_option(name, value);
+      ADD_FAILURE() << name << " " << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(std::string("set_option ") + name + ": '" +
+                                                value + "' (expected ",
+                                            0),
+                0u)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(s.undo_depth(), 0u);
+  try {
+    s.set_option("threads", "1025");
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "set_option threads: '1025' (expected an integer in [0, 1024])");
+  }
+  try {
+    s.set_option("period", "-1");
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "set_option period: '-1' (expected a number in (0, 1])");
+  }
+}
+
 // Edits answer to the .nwspef reader's physical limits (1 nF per cap,
 // 1 GOhm per resistor): a 1e300 factor would otherwise reach the kernels
 // and push noise windows to absurd times. Refusal happens before anything

@@ -1,11 +1,22 @@
 // Noise origin tracing through propagation chains.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <map>
+#include <random>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "gen/randlogic.hpp"
 #include "library/library.hpp"
 #include "netlist/design.hpp"
+#include "netlist/verilog.hpp"
 #include "noise/analyzer.hpp"
 #include "noise/report_writer.hpp"
 #include "noise/trace.hpp"
+#include "parasitics/spef.hpp"
 #include "sta/sta.hpp"
 #include "util/units.hpp"
 
@@ -220,6 +231,159 @@ TEST(Trace, AggressorOrderIsCanonicalUnderPermutation) {
   EXPECT_EQ(traces[0], traces[1]);
   EXPECT_NE(reports[0].find("[aggressors: ab za]"), std::string::npos) << reports[0];
   EXPECT_EQ(reports[0], reports[1]);
+}
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream is(text);
+  for (std::string line; std::getline(is, line);) lines.push_back(line);
+  return lines;
+}
+
+std::string join_lines(const std::vector<std::string>& lines) {
+  std::string out;
+  for (const auto& l : lines) out += l + "\n";
+  return out;
+}
+
+/// The .nv text of `design` with every net declared up front by a `wire`
+/// line, in shuffled order, so each net gets a new id. Ports, instances
+/// and connectivity keep their order.
+std::string renumber_nets(const net::Design& design, std::mt19937_64& rng) {
+  std::vector<std::string> names;
+  for (std::size_t i = 0; i < design.net_count(); ++i) {
+    names.push_back(design.net(NetId{i}).name);
+  }
+  std::shuffle(names.begin(), names.end(), rng);
+  std::vector<std::string> lines = split_lines(net::write_netlist_string(design));
+  std::erase_if(lines, [](const std::string& l) { return l.starts_with("wire "); });
+  std::vector<std::string> out{lines.front()};
+  for (const auto& n : names) out.push_back("wire " + n);
+  out.insert(out.end(), lines.begin() + 1, lines.end());
+  return join_lines(out);
+}
+
+/// The .nwspef text of `para` with its coupling lines shuffled and each
+/// one's two ends swapped at random, so couplings are stored in a new
+/// order and orientation.
+std::string reorder_couplings(const net::Design& design, const para::Parasitics& para,
+                              std::mt19937_64& rng) {
+  std::vector<std::string> lines = split_lines(para::write_spef_string(design, para));
+  const auto first = std::find_if(lines.begin(), lines.end(), [](const std::string& l) {
+    return l.starts_with("*CC ");
+  });
+  const auto last = std::find_if(first, lines.end(), [](const std::string& l) {
+    return !l.starts_with("*CC ");
+  });
+  std::shuffle(first, last, rng);
+  for (auto it = first; it != last; ++it) {
+    if (rng() % 2 == 0) continue;
+    std::istringstream is(*it);
+    std::string tag, a, na, b, nb, c;
+    is >> tag >> a >> na >> b >> nb >> c;
+    *it = tag + " " + b + " " + nb + " " + a + " " + na + " " + c;
+  }
+  return join_lines(lines);
+}
+
+std::string hex(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%a", v);
+  return buf;
+}
+
+/// Everything a run reports, keyed by names, never by ids.
+struct NamedOutcome {
+  std::map<std::string, std::string> peaks;  ///< net name -> peaks in hex
+  std::vector<std::string> violations;
+  std::vector<std::string> provenance;
+  std::string report;
+};
+
+NamedOutcome named_outcome(const net::Design& d, const Options& o, const Result& r) {
+  const auto net_name = [&](NetId n) { return n.valid() ? d.net(n).name : "-"; };
+  NamedOutcome out;
+  for (std::size_t i = 0; i < d.net_count(); ++i) {
+    const NetNoise& nn = r.net(NetId{i});
+    out.peaks[d.net(NetId{i}).name] =
+        hex(nn.injected_peak) + " " + hex(nn.propagated_peak) + " " + hex(nn.total_peak);
+  }
+  for (const Violation& v : r.violations) {
+    out.violations.push_back(d.pin_name(v.endpoint) + " " + net_name(v.net) + " " +
+                             hex(v.peak) + " " + hex(v.width) + " " + hex(v.threshold));
+  }
+  for (const Provenance& p : r.provenance) {
+    std::string s = d.pin_name(p.endpoint) + " " + net_name(p.net) + " " +
+                    hex(p.peak_unfiltered) + " " + hex(p.peak_switching) + " " +
+                    hex(p.peak_noise_window) + " " + hex(p.peak_in_sensitivity) + " " +
+                    to_string(p.culled_by) + " " + hex(p.alignment.lo) + " " +
+                    hex(p.alignment.hi) + " |";
+    for (const AggressorShare& sh : p.shares) {
+      s += " " + net_name(sh.aggressor) + "/" + net_name(sh.from_net) + " " + hex(sh.peak) +
+           " " + hex(sh.coupling_cap) + " " + hex(sh.overlap.lo) + " " + hex(sh.overlap.hi) +
+           " " + to_string(sh.verdict);
+    }
+    s += " |";
+    for (const ProvenanceStep& st : p.path) {
+      s += " " + net_name(st.net) + " " + hex(st.peak) + " " + hex(st.width);
+    }
+    out.provenance.push_back(std::move(s));
+  }
+  out.report = report_string(d, o, r);
+  return out;
+}
+
+// Property: renumbering nets and reordering coupling storage — what a
+// .nv/.nwspef round trip does to a design — changes no output bit. Each
+// seed draws a small random logic cloud with flop endpoints (so the
+// sensitivity-window check clips many windows to one start time) and
+// compares the in-memory analysis with that of a permuted file copy in
+// every mode.
+TEST(TraceProperty, OutputsIndependentOfNumbering) {
+  constexpr std::uint64_t kSeeds = 12;
+  const lib::Library library = lib::default_library();
+  std::size_t violations_seen = 0;
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    gen::RandLogicConfig cfg;
+    cfg.primary_inputs = 16;
+    cfg.gates = 1000;
+    cfg.levels = 6;
+    cfg.coupling_prob = 0.9;
+    cfg.coupling_cap_min = 2 * FF;
+    cfg.coupling_cap_max = 9 * FF;
+    cfg.input_spread = 1500 * PS;
+    cfg.dff_fraction = 0.3;
+    cfg.seed = seed;
+    const gen::Generated g = gen::make_rand_logic(library, cfg);
+    std::mt19937_64 rng(seed);
+    const net::Design d2 = net::read_netlist_string(renumber_nets(g.design, rng), library);
+    const para::Parasitics p2 =
+        para::read_spef_string(reorder_couplings(g.design, g.para, rng), d2);
+    std::size_t renumbered = 0;
+    for (std::size_t i = 0; i < d2.net_count(); ++i) {
+      renumbered += *g.design.find_net(d2.net(NetId{i}).name) != NetId{i};
+    }
+    ASSERT_GT(renumbered, d2.net_count() / 2) << "seed " << seed;
+
+    const sta::Result t1 = sta::run(g.design, g.para, g.sta_options);
+    const sta::Result t2 = sta::run(d2, p2, g.sta_options);
+    for (const AnalysisMode mode : {AnalysisMode::kNoFiltering, AnalysisMode::kSwitchingWindows,
+                                    AnalysisMode::kNoiseWindows}) {
+      Options o;
+      o.mode = mode;
+      o.clock_period = g.sta_options.clock_period;
+      const NamedOutcome a = named_outcome(g.design, o, analyze(g.design, g.para, t1, o));
+      const NamedOutcome b = named_outcome(d2, o, analyze(d2, p2, t2, o));
+      const std::string where = "seed " + std::to_string(seed) + " mode " +
+                                std::to_string(static_cast<int>(mode));
+      EXPECT_EQ(a.peaks, b.peaks) << where;
+      EXPECT_EQ(a.violations, b.violations) << where;
+      EXPECT_EQ(a.provenance, b.provenance) << where;
+      EXPECT_EQ(a.report, b.report) << where;
+      violations_seen += a.violations.size();
+    }
+  }
+  EXPECT_GT(violations_seen, 0u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <csignal>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <ostream>
@@ -177,6 +178,12 @@ std::optional<Args> parse_args(std::span<const std::string> argv, std::ostream& 
       }
       return argv[++i];
     };
+    // Every integer flag fits an int; the analysis flags have the session
+    // options' ranges.
+    const auto int_value = [&](const std::string& v,
+                               unsigned long max = std::numeric_limits<int>::max()) {
+      return static_cast<int>(nw::parse_uint_in(v, max, arg));
+    };
     if (arg == "--lib") {
       const auto v = need_value();
       if (!v) return std::nullopt;
@@ -223,15 +230,15 @@ std::optional<Args> parse_args(std::span<const std::string> argv, std::ostream& 
     } else if (arg == "--period") {
       const auto v = need_value();
       if (!v) return std::nullopt;
-      a.noise_opt.clock_period = nw::parse_double(*v);
+      a.noise_opt.clock_period = nw::parse_positive_in(*v, noise::kMaxClockPeriod, arg);
     } else if (arg == "--refine") {
       const auto v = need_value();
       if (!v) return std::nullopt;
-      a.noise_opt.refine_iterations = static_cast<int>(nw::parse_uint(*v));
+      a.noise_opt.refine_iterations = int_value(*v, noise::kMaxRefineIterations);
     } else if (arg == "--threads") {
       const auto v = need_value();
       if (!v) return std::nullopt;
-      a.noise_opt.threads = static_cast<int>(nw::parse_uint(*v));
+      a.noise_opt.threads = int_value(*v, noise::kMaxThreads);
     } else if (arg == "--stats") {
       a.stats = true;
     } else if (arg == "--mem-report") {
@@ -257,12 +264,7 @@ std::optional<Args> parse_args(std::span<const std::string> argv, std::ostream& 
     } else if (arg == "--profile-hz") {
       const auto v = need_value();
       if (!v) return std::nullopt;
-      a.profile_hz = static_cast<int>(nw::parse_uint(*v));
-      if (a.profile_hz > obs::Profiler::kMaxHz) {
-        err << "noisewin: --profile-hz " << a.profile_hz << " too high (max "
-            << obs::Profiler::kMaxHz << ")\n";
-        return std::nullopt;
-      }
+      a.profile_hz = int_value(*v, obs::Profiler::kMaxHz);
     } else if (arg == "--slow-ms") {
       const auto v = need_value();
       if (!v) return std::nullopt;
@@ -274,31 +276,31 @@ std::optional<Args> parse_args(std::span<const std::string> argv, std::ostream& 
     } else if (arg == "--max-connections") {
       const auto v = need_value();
       if (!v) return std::nullopt;
-      a.max_connections = static_cast<int>(nw::parse_uint(*v));
+      a.max_connections = int_value(*v);
     } else if (arg == "--max-queued") {
       const auto v = need_value();
       if (!v) return std::nullopt;
-      a.max_queued = static_cast<int>(nw::parse_uint(*v));
+      a.max_queued = int_value(*v);
     } else if (arg == "--analysis-slots") {
       const auto v = need_value();
       if (!v) return std::nullopt;
-      a.analysis_slots = static_cast<int>(nw::parse_uint(*v));
+      a.analysis_slots = int_value(*v);
     } else if (arg == "--max-waiters") {
       const auto v = need_value();
       if (!v) return std::nullopt;
-      a.max_waiters = static_cast<int>(nw::parse_uint(*v));
+      a.max_waiters = int_value(*v);
     } else if (arg == "--idle-timeout") {
       const auto v = need_value();
       if (!v) return std::nullopt;
-      a.idle_timeout_s = static_cast<int>(nw::parse_uint(*v));
+      a.idle_timeout_s = int_value(*v);
     } else if (arg == "--sample-ms") {
       const auto v = need_value();
       if (!v) return std::nullopt;
-      a.sample_ms = static_cast<int>(nw::parse_uint(*v));
+      a.sample_ms = int_value(*v);
     } else if (arg == "--sample-cap") {
       const auto v = need_value();
       if (!v) return std::nullopt;
-      a.sample_cap = static_cast<int>(nw::parse_uint(*v));
+      a.sample_cap = int_value(*v);
       if (a.sample_cap < 1) {
         err << "noisewin: --sample-cap must be at least 1\n";
         return std::nullopt;
@@ -662,7 +664,7 @@ int run_cli(std::span<const std::string> args, std::istream& in, std::ostream& o
   try {
     parsed = parse_args(args, err);
   } catch (const std::exception& e) {
-    // parse_double/parse_uint throw on malformed numeric values.
+    // Numeric flags throw on malformed or out-of-range values.
     err << "noisewin: " << e.what() << "\n";
   }
   if (!parsed) {

@@ -5,7 +5,6 @@ Usage:
     validate_obs.py --trace trace.json --stats stats.json
     validate_obs.py --server-trace strace.json --server-stats sstats.json
     validate_obs.py --daemon-stats dstats.json --daemon-trace dtrace.json
-    validate_obs.py --bench-record record.json
     validate_obs.py --html-report report.html
     validate_obs.py --profile run.folded
 
@@ -21,12 +20,10 @@ additionally require at least 6 accounts with nonzero peaks.
 (queue depth, active connections, in-flight analyses, tracked bytes).
 Server-mode artifacts additionally need the request track: request spans
 on the "server" thread enclosing analyzer phase spans, per-command latency
-histograms, and the slow log. Bench run records need the "bench" section
-(git SHA, timestamp, build type, peak RSS). --profile validates a
-collapsed-stack ("folded") sampling profile: well-formed `stack count`
-lines, sorted, with samples in every analyzer phase. Exits non-zero with a
-message on the first failure — schema violations gate CI; perf comparison
-(tools/bench_history.py, tools/perf_diff.py) stays advisory.
+histograms, and the slow log. --profile validates a collapsed-stack
+("folded") sampling profile: well-formed `stack count` lines, sorted, with
+samples in every analyzer phase. Exits non-zero with a message on the first
+failure — schema violations gate CI.
 """
 
 import argparse
@@ -40,8 +37,6 @@ REQUIRED_GAUGES = ["propagation_levels", "endpoints_checked", "violations"]
 REQUIRED_HISTOGRAMS = ["glitch_peak_v", "aggressors_per_victim", "level_width"]
 REQUIRED_META = ["schema_version", "design", "mode", "model", "options_digest",
                  "build", "threads", "iterations"]
-REQUIRED_BENCH = ["record_version", "git_sha", "git_describe", "build_type",
-                  "timestamp_utc", "unix_time", "peak_rss_bytes"]
 PHASES = ["estimate-injected", "propagate", "check-endpoints"]
 
 
@@ -345,37 +340,6 @@ def validate_stats(path, server=False):
           f"digest {meta['options_digest']})")
 
 
-def validate_bench_record(path):
-    doc = load(path)
-    validate_stats_like = doc.get("meta", {})
-    if validate_stats_like.get("schema_version") != STATS_SCHEMA_VERSION:
-        fail(f"bench record: unexpected schema_version in {path}")
-    bench = doc.get("bench")
-    if not isinstance(bench, dict):
-        fail("bench record: no 'bench' section")
-    for key in REQUIRED_BENCH:
-        if key not in bench:
-            fail(f"bench record: bench section missing '{key}'")
-    if bench["record_version"] != 1:
-        fail(f"bench record: unexpected record_version {bench['record_version']}")
-    if not isinstance(bench["git_sha"], str) or not bench["git_sha"]:
-        fail("bench record: empty git_sha")
-    if bench["build_type"] not in ("Release", "Debug"):
-        fail(f"bench record: unexpected build_type '{bench['build_type']}'")
-    if not (isinstance(bench["peak_rss_bytes"], int) and bench["peak_rss_bytes"] > 0):
-        fail("bench record: peak_rss_bytes missing or zero")
-    if not (isinstance(bench["unix_time"], int) and bench["unix_time"] > 0):
-        fail("bench record: unix_time missing or zero")
-    for name, h in iter_histograms(doc):
-        check_histogram(name, h)
-    check_executor(doc, "bench record")
-    # Bench harnesses call the analyzer directly (no CLI owner charges), but
-    # the pipeline itself always charges analysis_context + kernel_buffers.
-    check_memory(doc, "bench record", min_nonzero=1)
-    print(f"validate_obs: bench record OK (sha {bench['git_sha'][:12]}, "
-          f"{bench['build_type']}, peak RSS {bench['peak_rss_bytes']} B)")
-
-
 def validate_profile(path, require_phases=True):
     """A collapsed-stack ("folded") sampling profile: one `stack count`
     line per aggregated stack, sorted by stack, root frame = thread name,
@@ -552,7 +516,6 @@ def main():
     ap.add_argument("--daemon-stats")
     ap.add_argument("--daemon-trace",
                     help="daemon-side Chrome trace: counter tracks required")
-    ap.add_argument("--bench-record", action="append", default=[])
     ap.add_argument("--html-report")
     ap.add_argument("--profile", help="folded sampling profile to validate")
     ap.add_argument("--profile-no-phases", action="store_true",
@@ -560,10 +523,10 @@ def main():
                          "captures, partial runs)")
     args = ap.parse_args()
     if not any([args.trace, args.stats, args.server_trace, args.server_stats,
-                args.daemon_stats, args.daemon_trace, args.bench_record,
+                args.daemon_stats, args.daemon_trace,
                 args.html_report, args.profile]):
         ap.error("give --trace, --stats, --server-trace, --server-stats, "
-                 "--daemon-stats, --daemon-trace, --bench-record, "
+                 "--daemon-stats, --daemon-trace, "
                  "--html-report, and/or --profile")
     if args.trace:
         validate_trace(args.trace)
@@ -577,8 +540,6 @@ def main():
         validate_daemon_stats(args.daemon_stats)
     if args.daemon_trace:
         validate_trace(args.daemon_trace, counters=True)
-    for path in args.bench_record:
-        validate_bench_record(path)
     if args.html_report:
         validate_html_report(args.html_report)
     if args.profile:
